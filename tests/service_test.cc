@@ -1526,5 +1526,273 @@ TEST_F(ServerTest, HealthzCarriesBuildInfo) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// /v1/stats shape, and its agreement with /metrics
+
+/// Flattens a JSON document into "path:type" leaves ("requests.total:n",
+/// "cache.enabled:b").
+void CollectKeyPaths(const JsonValue& v, const std::string& prefix,
+                     std::set<std::string>* out) {
+  if (v.is_object()) {
+    for (const auto& [key, child] : v.AsObject()) {
+      CollectKeyPaths(child, prefix.empty() ? key : prefix + "." + key, out);
+    }
+    return;
+  }
+  out->insert(prefix + (v.is_bool() ? ":b" : v.is_number() ? ":n" : ":?"));
+}
+
+std::string RegisterTaxesAs(const std::string& name) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("name");
+  w.String(name);
+  w.Key("table");
+  w.String("Taxes");
+  w.Key("d0_csv");
+  w.String(kTaxD0Csv);
+  w.Key("log_sql");
+  w.String(kTaxLogSql);
+  w.EndObject();
+  return w.str();
+}
+
+/// One diagnosis of the Figure-2 complaint per dataset, as a single
+/// object (one name) or an items[] batch (several names).
+std::string DiagnoseTaxesOn(const std::vector<std::string>& datasets) {
+  JsonWriter w;
+  auto item = [&w](const std::string& dataset) {
+    w.BeginObject();
+    w.Key("dataset");
+    w.String(dataset);
+    w.Key("complaints_csv");
+    w.String(kTaxComplaintsCsv);
+    w.EndObject();
+  };
+  if (datasets.size() == 1) {
+    item(datasets[0]);
+    return w.str();
+  }
+  w.BeginObject();
+  w.Key("items");
+  w.BeginArray();
+  for (const std::string& d : datasets) item(d);
+  w.EndArray();
+  w.EndObject();
+  return w.str();
+}
+
+TEST_F(ServerTest, StatsKeyPathsArePinned) {
+  StartServer(ServerOptions{});
+  ASSERT_EQ(Post("/v1/datasets", RegisterTaxesBody()).status, 200);
+  ASSERT_EQ(Post("/v1/diagnose", DiagnoseTaxesBody()).status, 200);
+
+  auto stats = Get("/v1/stats");
+  ASSERT_EQ(stats.status, 200);
+  auto doc = ParseJson(stats.body);
+  ASSERT_TRUE(doc.ok()) << stats.body;
+  std::set<std::string> paths;
+  CollectKeyPaths(*doc, "", &paths);
+
+  const std::set<std::string> expected = {
+      "requests.total:n", "requests.datasets:n", "requests.append:n",
+      "requests.diagnose:n", "requests.healthz:n", "requests.stats:n",
+      "requests.metrics:n", "requests.debug:n", "requests.shed_429:n",
+      "requests.errors_4xx:n", "requests.errors_5xx:n",
+      "requests.connections:n", "requests.items:n",
+      "requests.cached_hits:n",
+      "cache.enabled:b", "cache.hits:n", "cache.misses:n",
+      "cache.coalesced:n", "cache.inserts:n", "cache.evictions:n",
+      "cache.invalidations:n", "cache.bytes:n", "cache.entries:n",
+      "cache.capacity_bytes:n",
+      "latency.count:n", "latency.p50_ms:n", "latency.p90_ms:n",
+      "latency.p99_ms:n", "latency.max_ms:n",
+      "queue.inflight:n", "queue.capacity:n",
+      "registry.datasets:n", "registry.bytes:n",
+      "registry.capacity_bytes:n", "registry.evictions:n",
+      "registry.ttl_evictions:n",
+      "ingest.appends:n", "ingest.chunks:n", "ingest.appended_queries:n",
+      "ingest.prefix_hits:n", "ingest.prefix_misses:n",
+      "ingest.prefix_computes:n", "ingest.encoding_cache_enabled:b",
+      "ingest.encoding_cache_bytes:n", "ingest.encoding_cache_entries:n",
+      "ingest.surviving_cache_bytes:n",
+      "tenants.taxes.weight:n", "tenants.taxes.share:n",
+      "tenants.taxes.inflight:n", "tenants.taxes.requests:n",
+      "tenants.taxes.shed_429:n", "tenants.taxes.cached_hits:n",
+      "tenants.taxes.items:n", "tenants.taxes.cache_bytes:n",
+      "tenants.taxes.latency.count:n", "tenants.taxes.latency.p50_ms:n",
+      "tenants.taxes.latency.p90_ms:n", "tenants.taxes.latency.p99_ms:n",
+      "tenants.taxes.latency.max_ms:n",
+      "pool_workers:n", "uptime_seconds:n", "metrics_scrapes_total:n",
+      "trace_recorder.enabled:b", "trace_recorder.recorded:n",
+      "trace_recorder.retained:n", "trace_recorder.sampled_out:n",
+      "trace_recorder.forced:n", "trace_recorder.evicted:n",
+      "trace_recorder.buffered:n", "trace_recorder.buffered_bytes:n",
+      "stalls.event_loop:n", "stalls.solve_deadline:n",
+      "stalls.admission_starvation:n",
+      "log_lines_dropped:n"};
+  for (const std::string& p : expected) {
+    EXPECT_TRUE(paths.count(p)) << "missing " << p;
+  }
+  for (const std::string& p : paths) {
+    EXPECT_TRUE(expected.count(p)) << "unexpected " << p;
+  }
+}
+
+TEST_F(ServerTest, StatsAndMetricsAgreeAtQuiescence) {
+  ServerOptions options;
+  options.enable_test_endpoints = true;
+  StartServer(options);
+
+  // A fixed sequence touching every subsystem both surfaces report on:
+  // two tenants, a cold solve, a cache hit, a cross-tenant batch, an
+  // append, client errors, the flight recorder and a scrape.
+  ASSERT_EQ(Get("/v1/healthz").status, 200);
+  ASSERT_EQ(Post("/v1/datasets", RegisterTaxesAs("acme/taxes")).status, 200);
+  ASSERT_EQ(Post("/v1/datasets", RegisterTaxesAs("beta/taxes")).status, 200);
+  ASSERT_EQ(Post("/v1/diagnose", DiagnoseTaxesOn({"acme/taxes"})).status,
+            200);
+  ASSERT_EQ(Post("/v1/diagnose", DiagnoseTaxesOn({"acme/taxes"})).status,
+            200);
+  ASSERT_EQ(Post("/v1/diagnose",
+                 DiagnoseTaxesOn({"acme/taxes", "beta/taxes"}))
+                .status,
+            200);
+  ASSERT_EQ(Post("/v1/datasets/acme/taxes/append",
+                 "{\"log_sql\":\"UPDATE Taxes SET pay = pay WHERE "
+                 "income < 0;\"}")
+                .status,
+            200);
+  EXPECT_EQ(Get("/v1/nope").status, 404);
+  EXPECT_EQ(Post("/v1/healthz", "{}").status, 405);
+  EXPECT_EQ(Post("/v1/diagnose", "not json").status, 400);
+  ASSERT_EQ(Get("/v1/debug/traces").status, 200);
+  ASSERT_EQ(Get("/metrics").status, 200);
+
+  auto stats = Get("/v1/stats");
+  ASSERT_EQ(stats.status, 200);
+  auto doc = ParseJson(stats.body);
+  ASSERT_TRUE(doc.ok()) << stats.body;
+  // Scraped in process: unlike GET /metrics, this bumps no counter.
+  const std::string text = server_->metrics().RenderPrometheus();
+  auto parsed = obs::ParseExposition(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+
+  auto json = [&](const std::string& path) -> double {
+    const JsonValue* v = &*doc;
+    size_t pos = 0;
+    while (v != nullptr && pos <= path.size()) {
+      size_t dot = path.find('.', pos);
+      if (dot == std::string::npos) dot = path.size();
+      v = v->Find(path.substr(pos, dot - pos));
+      pos = dot + 1;
+    }
+    EXPECT_NE(v, nullptr) << path;
+    return v != nullptr && v->is_number() ? v->AsNumber() : -1.0;
+  };
+  auto metric = [&](const std::string& name, const char* label = nullptr,
+                    const std::string& value = "") -> double {
+    for (const auto& sample : parsed->samples) {
+      if (sample.name != name) continue;
+      if (label == nullptr) return sample.value;
+      const std::string* v = sample.FindLabel(label);
+      if (v != nullptr && *v == value) return sample.value;
+    }
+    ADD_FAILURE() << "no sample " << name << " " << value;
+    return -2.0;
+  };
+  auto same = [&](const std::string& path, const std::string& name,
+                  const char* label = nullptr,
+                  const std::string& value = "") {
+    EXPECT_EQ(json(path), metric(name, label, value))
+        << path << " vs " << name << "{" << value << "}";
+  };
+
+  for (const char* endpoint :
+       {"datasets", "append", "diagnose", "healthz", "stats", "metrics",
+        "debug"}) {
+    same(std::string("requests.") + endpoint, "qfix_requests_total",
+         "endpoint", endpoint);
+  }
+  same("requests.shed_429", "qfix_shed_total");
+  same("requests.errors_4xx", "qfix_http_responses_total", "class", "4xx");
+  same("requests.errors_5xx", "qfix_http_responses_total", "class", "5xx");
+  // The stats response itself is counted once it is written, after its
+  // body was rendered.
+  EXPECT_EQ(json("requests.total") + 1,
+            metric("qfix_http_responses_total", "class", "2xx") +
+                metric("qfix_http_responses_total", "class", "4xx") +
+                metric("qfix_http_responses_total", "class", "5xx"));
+  same("requests.connections", "qfix_connections_total");
+  same("requests.items", "qfix_items_total");
+  same("requests.cached_hits", "qfix_cached_hits_total");
+  for (const char* event : {"hits", "misses", "coalesced", "inserts",
+                            "evictions", "invalidations"}) {
+    same(std::string("cache.") + event, "qfix_report_cache_events_total",
+         "event", event);
+  }
+  same("cache.bytes", "qfix_report_cache_bytes");
+  same("cache.entries", "qfix_report_cache_entries");
+  same("cache.capacity_bytes", "qfix_report_cache_capacity_bytes");
+  same("queue.inflight", "qfix_inflight_items");
+  same("queue.capacity", "qfix_inflight_capacity");
+  same("registry.datasets", "qfix_registry_datasets");
+  same("registry.bytes", "qfix_registry_bytes");
+  same("registry.capacity_bytes", "qfix_registry_capacity_bytes");
+  same("registry.evictions", "qfix_registry_evictions_total", "kind", "lru");
+  same("registry.ttl_evictions", "qfix_registry_evictions_total", "kind",
+       "ttl");
+  same("ingest.appends", "qfix_ingest_appends_total");
+  same("ingest.chunks", "qfix_ingest_chunks");
+  same("ingest.appended_queries", "qfix_ingest_appended_queries_total");
+  same("ingest.prefix_hits", "qfix_encoding_cache_events_total", "event",
+       "hit");
+  same("ingest.prefix_misses", "qfix_encoding_cache_events_total", "event",
+       "miss");
+  same("ingest.prefix_computes", "qfix_encoding_cache_events_total",
+       "event", "compute");
+  same("ingest.encoding_cache_bytes", "qfix_encoding_cache_bytes");
+  same("ingest.encoding_cache_entries", "qfix_encoding_cache_entries");
+  same("ingest.surviving_cache_bytes", "qfix_surviving_cache_bytes");
+  for (const std::string tenant : {"acme", "beta"}) {
+    const std::string t = "tenants." + tenant + ".";
+    same(t + "weight", "qfix_tenant_weight", "tenant", tenant);
+    same(t + "share", "qfix_tenant_share", "tenant", tenant);
+    same(t + "inflight", "qfix_tenant_inflight", "tenant", tenant);
+    same(t + "requests", "qfix_tenant_requests_total", "tenant", tenant);
+    same(t + "shed_429", "qfix_tenant_shed_total", "tenant", tenant);
+    same(t + "cached_hits", "qfix_tenant_cached_hits_total", "tenant",
+         tenant);
+    same(t + "items", "qfix_tenant_items_total", "tenant", tenant);
+    same(t + "latency.count", "qfix_diagnose_seconds_count", "tenant",
+         tenant);
+  }
+  same("pool_workers", "qfix_pool_workers");
+  same("metrics_scrapes_total", "qfix_metrics_scrapes_total");
+  for (const char* event :
+       {"recorded", "retained", "sampled_out", "forced", "evicted"}) {
+    same(std::string("trace_recorder.") + event,
+         "qfix_trace_recorder_events_total", "event", event);
+  }
+  same("trace_recorder.buffered", "qfix_trace_buffer_traces");
+  same("trace_recorder.buffered_bytes", "qfix_trace_buffer_bytes");
+  for (const char* kind :
+       {"event_loop", "solve_deadline", "admission_starvation"}) {
+    same(std::string("stalls.") + kind, "qfix_stalls_total", "kind", kind);
+  }
+  same("log_lines_dropped", "qfix_log_lines_dropped_total");
+  // Uptime is the one clock both surfaces read at different instants.
+  EXPECT_GE(metric("qfix_uptime_seconds"), json("uptime_seconds"));
+  EXPECT_LT(metric("qfix_uptime_seconds"), json("uptime_seconds") + 60.0);
+
+  // The sequence really did move the numbers compared above.
+  EXPECT_EQ(json("requests.diagnose"), 4.0);
+  EXPECT_EQ(json("requests.cached_hits"), 2.0);
+  EXPECT_EQ(json("tenants.beta.requests"), 1.0);
+  EXPECT_EQ(json("tenants.acme.latency.count"), 3.0);
+  EXPECT_EQ(json("ingest.appends"), 1.0);
+  EXPECT_GE(json("requests.errors_4xx"), 3.0);
+}
+
 }  // namespace
 }  // namespace qfix
