@@ -179,15 +179,15 @@ int main() {
     table.AddRow({s.name, "ALL", std::to_string(r.attempted),
                   harness::Table::Cell(r.ok_rps),
                   std::to_string(r.classes.shed_429),
-                  harness::Table::Cell(r.latency.Percentile(0.5) * 1e3),
-                  harness::Table::Cell(r.latency.Percentile(0.99) * 1e3)});
+                  harness::Table::Cell(r.latency.Quantile(0.5) * 1e3),
+                  harness::Table::Cell(r.latency.Quantile(0.99) * 1e3)});
     for (const harness::TenantLoadResult& t : r.tenants) {
       table.AddRow(
           {s.name, t.name, std::to_string(t.attempted),
            harness::Table::Cell(t.classes.ok_2xx / r.duration_seconds),
            std::to_string(t.classes.shed_429),
-           harness::Table::Cell(t.latency.Percentile(0.5) * 1e3),
-           harness::Table::Cell(t.latency.Percentile(0.99) * 1e3)});
+           harness::Table::Cell(t.latency.Quantile(0.5) * 1e3),
+           harness::Table::Cell(t.latency.Quantile(0.99) * 1e3)});
     }
   }
   bench::PrintAndExport(table, "load");

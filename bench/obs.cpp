@@ -67,6 +67,7 @@ struct Instruments {
   obs::Counter* lp_iterations;
   obs::Counter* constraints;
   obs::Histogram* phases[6];
+  obs::Histogram* request_seconds;
   obs::Histogram* tenant_seconds;
 
   Instruments() {
@@ -79,19 +80,19 @@ struct Instruments {
         registry.AddCounter("bench_lp_total", "LP iterations.")->Get();
     constraints =
         registry.AddCounter("bench_constraints_total", "Constraints.")->Get();
-    obs::HistogramFamily* phase_family = registry.AddHistogram(
-        "bench_phase_seconds", "Phases.", obs::DefaultLatencyBucketEdges(),
-        {"phase"});
+    obs::HistogramFamily* phase_family =
+        registry.AddHistogram("bench_phase_seconds", "Phases.", {"phase"});
     const char* names[6] = {"parse",  "cache", "admission",
                             "encode", "solve", "render"};
     for (int i = 0; i < 6; ++i) {
       phases[i] = phase_family->WithLabels({names[i]});
     }
-    tenant_seconds =
-        registry
-            .AddHistogram("bench_diagnose_seconds", "Diagnose.",
-                          obs::DefaultLatencyBucketEdges(), {"tenant"})
-            ->WithLabels({"t1"});
+    request_seconds =
+        registry.AddHistogram("bench_requests_seconds", "Requests.")->Get();
+    tenant_seconds = registry
+                         .AddHistogram("bench_diagnose_seconds", "Diagnose.",
+                                       {"tenant"})
+                         ->WithLabels({"t1"});
   }
 };
 
@@ -258,6 +259,7 @@ int main() {
           ++i;
         }
       }
+      inst.request_seconds->Observe(elapsed);
       inst.tenant_seconds->ObserveWithExemplar(elapsed, "q-bench");
       obs::RetainedTrace rt;
       rt.request_id = "q-bench";

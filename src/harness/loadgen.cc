@@ -29,7 +29,7 @@ constexpr double kBehindScheduleSeconds = 0.010;
 struct TenantAcc {
   uint64_t attempted = 0;
   ErrorClassCounts classes;
-  LatencyHistogram latency;
+  obs::Histogram latency;
 };
 
 struct WorkerAcc {
@@ -107,22 +107,23 @@ void Classify(const Result<service::HttpResponse>& response,
   }
 }
 
-void WriteHistogramJson(const LatencyHistogram& h, JsonWriter* w) {
+void WriteHistogramJson(const obs::Histogram& h, JsonWriter* w) {
+  const uint64_t count = h.Count();
   w->BeginObject();
   w->Key("count");
-  w->Uint(h.count());
+  w->Uint(count);
   w->Key("mean");
-  w->Double(h.mean() * 1e3);
+  w->Double(count > 0 ? h.Sum() / count * 1e3 : 0.0);
   w->Key("p50");
-  w->Double(h.Percentile(0.50) * 1e3);
+  w->Double(h.Quantile(0.50) * 1e3);
   w->Key("p90");
-  w->Double(h.Percentile(0.90) * 1e3);
+  w->Double(h.Quantile(0.90) * 1e3);
   w->Key("p99");
-  w->Double(h.Percentile(0.99) * 1e3);
+  w->Double(h.Quantile(0.99) * 1e3);
   w->Key("p999");
-  w->Double(h.Percentile(0.999) * 1e3);
+  w->Double(h.Quantile(0.999) * 1e3);
   w->Key("max");
-  w->Double(h.max() * 1e3);
+  w->Double(h.Max() * 1e3);
   w->EndObject();
 }
 
@@ -218,7 +219,7 @@ LoadResult RunLoad(const LoadOptions& options) {
                       options.request_timeout_seconds, headers_for(*p.request));
         Classify(response, &ta.classes);
         if (response.ok()) {
-          ta.latency.Record(MonotonicSeconds() - t0);
+          ta.latency.Observe(MonotonicSeconds() - t0);
         }
       }
       return;
@@ -246,7 +247,7 @@ LoadResult RunLoad(const LoadOptions& options) {
       if (response.ok()) {
         // Coordinated-omission corrected: measured from the scheduled
         // arrival, so time spent waiting for a free worker counts.
-        ta.latency.Record(MonotonicSeconds() - scheduled);
+        ta.latency.Observe(MonotonicSeconds() - scheduled);
       }
     }
   };

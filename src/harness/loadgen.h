@@ -18,8 +18,10 @@
 // request templates (register / diagnose / cached-hit replay / debug
 // sleep — whatever the caller encodes as path+body). Results come back
 // per error class (2xx / 429 shed / other 4xx / 5xx / transport) and
-// as HDR-style latency histograms (p50..p99.9), overall and per
-// tenant, with a JSON rendering compatible with bench_results/.
+// as latency histograms (obs::Histogram, the server's own HDR layout:
+// p50..p99.9 within 3.1%), overall and per tenant, with a JSON
+// rendering compatible with bench_results/. Each worker records into
+// its own histograms; the driver merges them after join.
 #ifndef QFIX_HARNESS_LOADGEN_H_
 #define QFIX_HARNESS_LOADGEN_H_
 
@@ -28,7 +30,7 @@
 #include <utility>
 #include <vector>
 
-#include "harness/histogram.h"
+#include "obs/metrics.h"
 
 namespace qfix {
 namespace harness {
@@ -97,7 +99,7 @@ struct TenantLoadResult {
   std::string name;
   uint64_t attempted = 0;
   ErrorClassCounts classes;
-  LatencyHistogram latency;
+  obs::Histogram latency;
 };
 
 struct LoadResult {
@@ -107,7 +109,7 @@ struct LoadResult {
   uint64_t attempted = 0;
   ErrorClassCounts classes;
   /// Overall latency; open loop measures from the scheduled arrival.
-  LatencyHistogram latency;
+  obs::Histogram latency;
   /// Per-tenant breakdown, sorted by name.
   std::vector<TenantLoadResult> tenants;
   /// Open loop: the configured timetable rate (0 for closed loop).

@@ -1,5 +1,7 @@
 #include "obs/metrics.h"
 
+#include <time.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -10,8 +12,6 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
-#include "common/timer.h"
-#include "harness/histogram.h"
 
 namespace qfix {
 namespace obs {
@@ -77,6 +77,15 @@ void AppendLabels(std::string* out,
   *out += '}';
 }
 
+/// Exemplar freshness clock. A 60 s horizon needs no more than the
+/// coarse clock's few-millisecond resolution, and reading it costs a
+/// fraction of CLOCK_MONOTONIC on every ObserveWithExemplar().
+double CoarseMonotonicSeconds() {
+  timespec ts;
+  clock_gettime(CLOCK_MONOTONIC_COARSE, &ts);
+  return static_cast<double>(ts.tv_sec) + ts.tv_nsec * 1e-9;
+}
+
 const char* KindName(MetricsRegistry::Kind kind) {
   switch (kind) {
     case MetricsRegistry::Kind::kCounter: return "counter";
@@ -91,64 +100,142 @@ const char* KindName(MetricsRegistry::Kind kind) {
 // ---------------------------------------------------------------------------
 // Instruments
 
-void Gauge::Add(double delta) {
-  double cur = value_.load(std::memory_order_relaxed);
-  while (!value_.compare_exchange_weak(cur, cur + delta,
-                                       std::memory_order_relaxed)) {
+Histogram::Histogram() {
+  for (std::atomic<uint64_t>& b : buckets_) {
+    b.store(0, std::memory_order_relaxed);
   }
 }
 
-Histogram::Histogram(std::vector<double> upper_edges)
-    : edges_(std::move(upper_edges)),
-      buckets_(new std::atomic<uint64_t>[edges_.size() + 1]),
-      exemplars_(new ExemplarSlot[edges_.size() + 1]) {
-  for (size_t i = 0; i + 1 < edges_.size(); ++i) {
-    QFIX_CHECK(edges_[i] < edges_[i + 1])
-        << "histogram edges must be strictly ascending";
+Histogram::Histogram(const Histogram& other) : Histogram() { Merge(other); }
+
+Histogram& Histogram::operator=(const Histogram& other) {
+  if (this == &other) return *this;
+  for (std::atomic<uint64_t>& b : buckets_) {
+    b.store(0, std::memory_order_relaxed);
   }
-  for (size_t i = 0; i <= edges_.size(); ++i) {
-    buckets_[i].store(0, std::memory_order_relaxed);
+  sum_ns_.store(0, std::memory_order_relaxed);
+  max_.store(0.0, std::memory_order_relaxed);
+  Merge(other);
+  return *this;
+}
+
+size_t Histogram::BucketFor(double* seconds) {
+  constexpr double kMaxSeconds = 1e9;  // ~32 years, past the top group
+  if (!(*seconds > 0.0) || std::isinf(*seconds)) *seconds = 0.0;
+  *seconds = std::min(*seconds, kMaxSeconds);
+  // Round up to whole microseconds, so a value never exceeds its
+  // bucket's upper edge (Prometheus `le` is inclusive). The picosecond
+  // of slack absorbs the rounding of an edge-valued input, e.g.
+  // 127e-6 * 1e6 = 127.00000000000001, so it lands on its own edge.
+  const double us_f = *seconds * 1e6 - 1e-6;
+  uint64_t us = us_f > 0.0 ? static_cast<uint64_t>(us_f) : 0;
+  if (static_cast<double>(us) < us_f) ++us;  // ceil without a libm call
+  if (us < kLinearBuckets) return static_cast<size_t>(us);
+  // Group g >= 1 holds [2^(5+g), 2^(6+g)) split into kSubBuckets linear
+  // sub-buckets of width 2^g.
+  const int msb = 63 - __builtin_clzll(us);
+  const int g = std::min(msb - 5, kGroups);
+  const uint64_t sub =
+      std::min<uint64_t>(us >> g, 2 * kSubBuckets - 1) - kSubBuckets;
+  return static_cast<size_t>(kLinearBuckets) +
+         static_cast<size_t>(g - 1) * kSubBuckets + static_cast<size_t>(sub);
+}
+
+uint64_t Histogram::UpperEdgeUs(size_t i) {
+  if (i < kLinearBuckets) return static_cast<uint64_t>(i);
+  const size_t rest = i - kLinearBuckets;
+  const int g = static_cast<int>(rest / kSubBuckets) + 1;
+  const uint64_t sub = kSubBuckets + rest % kSubBuckets;
+  return ((sub + 1) << g) - 1;
+}
+
+size_t Histogram::RenderedBucketOf(size_t i) {
+  if (i < kLinearBuckets) return 0;
+  return std::min((i - kLinearBuckets) / kSubBuckets + 1,
+                  kRenderedBuckets - 1);
+}
+
+void Histogram::AddSumAndMax(uint64_t sum_ns, double max) {
+  sum_ns_.fetch_add(sum_ns, std::memory_order_relaxed);
+  double cur = max_.load(std::memory_order_relaxed);
+  while (max > cur &&
+         !max_.compare_exchange_weak(cur, max, std::memory_order_relaxed)) {
   }
 }
 
-void Histogram::Observe(double value) {
-  if (std::isnan(value)) return;
-  // Prometheus `le` bounds are inclusive: an observation equal to an
-  // edge lands in that edge's bucket (lower_bound, not upper_bound).
-  size_t idx = static_cast<size_t>(
-      std::lower_bound(edges_.begin(), edges_.end(), value) - edges_.begin());
-  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + value,
-                                     std::memory_order_relaxed)) {
-  }
+size_t Histogram::Add(double* seconds) {
+  const size_t bucket = BucketFor(seconds);
+  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+  AddSumAndMax(static_cast<uint64_t>(*seconds * 1e9 + 0.5), *seconds);
+  return bucket;
 }
 
-void Histogram::ObserveWithExemplar(double value, std::string_view trace_id) {
-  Observe(value);
-  if (trace_id.empty() || std::isnan(value)) return;
-  size_t idx = static_cast<size_t>(
-      std::lower_bound(edges_.begin(), edges_.end(), value) - edges_.begin());
-  ExemplarSlot& slot = exemplars_[idx];
-  const double now = MonotonicSeconds();
+void Histogram::Observe(double seconds) {
+  if (!std::isnan(seconds)) Add(&seconds);
+}
+
+void Histogram::ObserveWithExemplar(double seconds,
+                                    std::string_view trace_id) {
+  if (std::isnan(seconds)) return;
+  const size_t bucket = Add(&seconds);
+  if (trace_id.empty()) return;
+  ExemplarSlot& slot = exemplars_[RenderedBucketOf(bucket)];
+  const double now = CoarseMonotonicSeconds();
   // Fast filter: not a new worst and the stored worst is still fresh —
   // nothing to do, no lock taken. This is the overwhelmingly common
   // outcome (most requests are not the bucket's recent maximum).
   double cur = slot.value.load(std::memory_order_relaxed);
   double stamp = slot.stamp_seconds.load(std::memory_order_relaxed);
-  if (value < cur && now - stamp < kExemplarHorizonSeconds) return;
+  if (seconds < cur && now - stamp < kExemplarHorizonSeconds) return;
   std::lock_guard<std::mutex> lock(exemplar_mu_);
   cur = slot.value.load(std::memory_order_relaxed);
   stamp = slot.stamp_seconds.load(std::memory_order_relaxed);
-  if (value < cur && now - stamp < kExemplarHorizonSeconds) return;
-  slot.value.store(value, std::memory_order_relaxed);
+  if (seconds < cur && now - stamp < kExemplarHorizonSeconds) return;
+  slot.value.store(seconds, std::memory_order_relaxed);
   slot.stamp_seconds.store(now, std::memory_order_relaxed);
   slot.trace_id.assign(trace_id.data(), trace_id.size());
   has_exemplars_.store(true, std::memory_order_release);
 }
 
+void Histogram::Merge(const Histogram& other) {
+  for (size_t i = 0; i < kBuckets; ++i) {
+    const uint64_t n = other.BucketCount(i);
+    if (n > 0) buckets_[i].fetch_add(n, std::memory_order_relaxed);
+  }
+  AddSumAndMax(other.sum_ns_.load(std::memory_order_relaxed), other.Max());
+}
+
+uint64_t Histogram::Count() const {
+  uint64_t n = 0;
+  for (const std::atomic<uint64_t>& b : buckets_) {
+    n += b.load(std::memory_order_relaxed);
+  }
+  return n;
+}
+
+double Histogram::Quantile(double q) const {
+  const uint64_t count = Count();
+  if (count == 0) return 0.0;
+  // Nearest rank over the quantized counts.
+  const uint64_t rank = std::max<uint64_t>(
+      static_cast<uint64_t>(std::ceil(std::clamp(q, 0.0, 1.0) * count)), 1);
+  uint64_t seen = 0;
+  for (size_t i = 0; i < kBuckets; ++i) {
+    seen += BucketCount(i);
+    if (seen >= rank) {
+      return std::min(static_cast<double>(UpperEdgeUs(i)) * 1e-6, Max());
+    }
+  }
+  return Max();
+}
+
+uint64_t Histogram::BucketCount(size_t i) const {
+  QFIX_CHECK(i < kBuckets);
+  return buckets_[i].load(std::memory_order_relaxed);
+}
+
 Histogram::Exemplar Histogram::ExemplarFor(size_t i) const {
-  QFIX_CHECK(i <= edges_.size());
+  QFIX_CHECK(i < kRenderedBuckets);
   Exemplar out;
   if (!has_exemplars_.load(std::memory_order_acquire)) return out;
   std::lock_guard<std::mutex> lock(exemplar_mu_);
@@ -159,26 +246,34 @@ Histogram::Exemplar Histogram::ExemplarFor(size_t i) const {
   return out;
 }
 
-uint64_t Histogram::BucketCount(size_t i) const {
-  QFIX_CHECK(i <= edges_.size());
-  return buckets_[i].load(std::memory_order_relaxed);
+LatencySummary Summarize(const Histogram& h) {
+  LatencySummary s;
+  s.count = h.Count();
+  s.p50 = h.Quantile(0.50);
+  s.p90 = h.Quantile(0.90);
+  s.p99 = h.Quantile(0.99);
+  s.max = h.Max();
+  return s;
 }
 
-std::vector<double> DefaultLatencyBucketEdges() {
-  using harness::LatencyHistogram;
-  std::vector<double> edges;
-  // The last 1us-exact linear bucket (63us)...
-  edges.push_back(static_cast<double>(LatencyHistogram::UpperEdgeUs(
-                      LatencyHistogram::kLinearBuckets - 1)) *
-                  1e-6);
-  // ...then the top sub-bucket of each power-of-two group: (64<<g)-1 us.
-  // 20 groups reach ~67s, past any served request's budget.
-  for (int g = 1; g <= 20; ++g) {
-    size_t index = static_cast<size_t>(LatencyHistogram::kLinearBuckets) +
-                   static_cast<size_t>(g) * LatencyHistogram::kSubBuckets - 1;
-    edges.push_back(static_cast<double>(LatencyHistogram::UpperEdgeUs(index)) *
+const std::vector<double>& DefaultLatencyBucketEdges() {
+  static const std::vector<double> edges = [] {
+    std::vector<double> out;
+    // The last 1us-exact linear bucket (63us), then the top sub-bucket
+    // of each power-of-two group: (64 << g) - 1 us. 20 groups reach
+    // ~67s, past any served request's budget.
+    out.push_back(
+        static_cast<double>(Histogram::UpperEdgeUs(Histogram::kLinearBuckets -
+                                                   1)) *
+        1e-6);
+    for (size_t g = 1; g < Histogram::kRenderedBuckets - 1; ++g) {
+      out.push_back(static_cast<double>(Histogram::UpperEdgeUs(
+                        Histogram::kLinearBuckets +
+                        g * Histogram::kSubBuckets - 1)) *
                     1e-6);
-  }
+    }
+    return out;
+  }();
   return edges;
 }
 
@@ -187,22 +282,27 @@ std::vector<double> DefaultLatencyBucketEdges() {
 
 namespace internal {
 
+struct Collector {
+  MetricsRegistry::CollectFn fn;
+  size_t families = 0;
+};
+
 struct Family {
   std::string name;
   std::string help;
   MetricsRegistry::Kind kind = MetricsRegistry::Kind::kCounter;
   std::vector<std::string> label_names;
-  std::vector<double> edges;  // histogram families only
 
   /// Guards the series maps; never held while a caller uses an
   /// instrument (pointers are stable — std::map nodes don't move).
-  std::mutex mu;
+  mutable std::mutex mu;
   std::map<std::vector<std::string>, std::unique_ptr<Counter>> counters;
-  std::map<std::vector<std::string>, std::unique_ptr<Gauge>> gauges;
   std::map<std::vector<std::string>, std::unique_ptr<Histogram>> histograms;
 
-  /// Non-null for callback families.
-  MetricsRegistry::CollectFn collect;
+  /// Non-null for callback families: the collector feeding this family
+  /// and this family's slot in its output.
+  std::shared_ptr<const Collector> collect;
+  size_t collect_index = 0;
 };
 
 }  // namespace internal
@@ -218,17 +318,6 @@ Counter* CounterFamily::WithLabels(std::vector<std::string> label_values) {
   return slot.get();
 }
 
-Gauge* GaugeFamily::WithLabels(std::vector<std::string> label_values) {
-  internal::Family* f = family_;
-  QFIX_CHECK(label_values.size() == f->label_names.size())
-      << f->name << ": expected " << f->label_names.size()
-      << " label values, got " << label_values.size();
-  std::lock_guard<std::mutex> lock(f->mu);
-  auto& slot = f->gauges[std::move(label_values)];
-  if (slot == nullptr) slot.reset(new Gauge());
-  return slot.get();
-}
-
 Histogram* HistogramFamily::WithLabels(std::vector<std::string> label_values) {
   internal::Family* f = family_;
   QFIX_CHECK(label_values.size() == f->label_names.size())
@@ -236,8 +325,15 @@ Histogram* HistogramFamily::WithLabels(std::vector<std::string> label_values) {
       << " label values, got " << label_values.size();
   std::lock_guard<std::mutex> lock(f->mu);
   auto& slot = f->histograms[std::move(label_values)];
-  if (slot == nullptr) slot.reset(new Histogram(f->edges));
+  if (slot == nullptr) slot.reset(new Histogram());
   return slot.get();
+}
+
+const Histogram* HistogramFamily::Find(
+    const std::vector<std::string>& label_values) const {
+  std::lock_guard<std::mutex> lock(family_->mu);
+  auto it = family_->histograms.find(label_values);
+  return it == family_->histograms.end() ? nullptr : it->second.get();
 }
 
 // ---------------------------------------------------------------------------
@@ -277,43 +373,40 @@ CounterFamily* MetricsRegistry::AddCounter(
   return counter_handles_.back().get();
 }
 
-GaugeFamily* MetricsRegistry::AddGauge(std::string name, std::string help,
-                                       std::vector<std::string> label_names) {
-  internal::Family* f = AddFamily(std::move(name), std::move(help),
-                                  Kind::kGauge, std::move(label_names));
-  std::lock_guard<std::mutex> lock(mu_);
-  gauge_handles_.emplace_back(new GaugeFamily(f));
-  return gauge_handles_.back().get();
-}
-
 HistogramFamily* MetricsRegistry::AddHistogram(
-    std::string name, std::string help, std::vector<double> upper_edges,
+    std::string name, std::string help,
     std::vector<std::string> label_names) {
-  QFIX_CHECK(!upper_edges.empty()) << name << ": histogram needs edges";
   internal::Family* f = AddFamily(std::move(name), std::move(help),
                                   Kind::kHistogram, std::move(label_names));
-  f->edges = std::move(upper_edges);
   std::lock_guard<std::mutex> lock(mu_);
   histogram_handles_.emplace_back(new HistogramFamily(f));
   return histogram_handles_.back().get();
 }
 
-void MetricsRegistry::AddCallback(std::string name, std::string help,
-                                  Kind kind,
-                                  std::vector<std::string> label_names,
-                                  CollectFn fn) {
-  QFIX_CHECK(kind != Kind::kHistogram)
-      << name << ": callback families must be counters or gauges";
-  QFIX_CHECK(fn != nullptr) << name << ": null collect callback";
-  internal::Family* f = AddFamily(std::move(name), std::move(help), kind,
-                                  std::move(label_names));
-  f->collect = std::move(fn);
+void MetricsRegistry::AddCollector(std::vector<FamilySpec> families,
+                                   CollectFn fn) {
+  QFIX_CHECK(fn != nullptr) << "null collector";
+  auto shared = std::make_shared<const internal::Collector>(
+      internal::Collector{std::move(fn), families.size()});
+  for (size_t i = 0; i < families.size(); ++i) {
+    FamilySpec& spec = families[i];
+    QFIX_CHECK(spec.kind != Kind::kHistogram)
+        << spec.name << ": callback families must be counters or gauges";
+    internal::Family* f =
+        AddFamily(std::move(spec.name), std::move(spec.help), spec.kind,
+                  std::move(spec.label_names));
+    f->collect = shared;
+    f->collect_index = i;
+  }
 }
 
 std::string MetricsRegistry::RenderPrometheus() const {
   std::string out;
   out.reserve(16 * 1024);
   std::lock_guard<std::mutex> lock(mu_);
+  // Each collector runs once per render, on its first family.
+  std::map<const internal::Collector*, std::vector<std::vector<Sample>>>
+      collected;
   for (const auto& [name, family] : families_) {
     internal::Family* f = family.get();
     out += "# HELP ";
@@ -328,9 +421,12 @@ std::string MetricsRegistry::RenderPrometheus() const {
     out += '\n';
 
     if (f->collect != nullptr) {
-      std::vector<Sample> samples;
-      f->collect(&samples);
-      for (const Sample& s : samples) {
+      auto [it, first] = collected.try_emplace(f->collect.get());
+      if (first) {
+        it->second.resize(f->collect->families);
+        f->collect->fn(&it->second);
+      }
+      for (const Sample& s : it->second[f->collect_index]) {
         QFIX_CHECK(s.label_values.size() == f->label_names.size())
             << name << ": callback emitted " << s.label_values.size()
             << " label values";
@@ -344,80 +440,61 @@ std::string MetricsRegistry::RenderPrometheus() const {
     }
 
     std::lock_guard<std::mutex> series_lock(f->mu);
-    switch (f->kind) {
-      case Kind::kCounter:
-        for (const auto& [values, counter] : f->counters) {
-          out += name;
-          AppendLabels(&out, f->label_names, values);
-          out += ' ';
-          out += StringPrintf("%llu", static_cast<unsigned long long>(
-                                          counter->Value()));
-          out += '\n';
-        }
-        break;
-      case Kind::kGauge:
-        for (const auto& [values, gauge] : f->gauges) {
-          out += name;
-          AppendLabels(&out, f->label_names, values);
-          out += ' ';
-          out += FormatValue(gauge->Value());
-          out += '\n';
-        }
-        break;
-      case Kind::kHistogram:
-        for (const auto& [values, hist] : f->histograms) {
-          // One relaxed read per bucket; _count derives from the same
-          // reads so the rendered series is internally consistent even
-          // under concurrent Observe(). Buckets whose histogram carries
-          // exemplars get an OpenMetrics-style `# {trace_id="..."} v`
-          // suffix — our own parser/linter accept it, and it is what
-          // links a scrape's latency spike to a retained trace.
-          auto append_exemplar = [&](size_t bucket) {
-            Histogram::Exemplar ex = hist->ExemplarFor(bucket);
-            if (!ex.valid()) return;
-            out += " # {trace_id=\"";
-            AppendEscapedLabelValue(&out, ex.trace_id);
-            out += "\"} ";
-            out += FormatValue(ex.value);
-          };
-          uint64_t cumulative = 0;
-          for (size_t b = 0; b < hist->edges().size(); ++b) {
-            cumulative += hist->BucketCount(b);
-            std::string le = FormatValue(hist->edges()[b]);
-            out += name;
-            out += "_bucket";
-            AppendLabels(&out, f->label_names, values, "le", &le);
-            out += ' ';
-            out += StringPrintf("%llu",
-                                static_cast<unsigned long long>(cumulative));
-            append_exemplar(b);
-            out += '\n';
-          }
-          cumulative += hist->BucketCount(hist->edges().size());
-          std::string inf = "+Inf";
-          out += name;
-          out += "_bucket";
-          AppendLabels(&out, f->label_names, values, "le", &inf);
-          out += ' ';
-          out += StringPrintf("%llu",
-                              static_cast<unsigned long long>(cumulative));
-          append_exemplar(hist->edges().size());
-          out += '\n';
-          out += name;
-          out += "_sum";
-          AppendLabels(&out, f->label_names, values);
-          out += ' ';
-          out += FormatValue(hist->Sum());
-          out += '\n';
-          out += name;
-          out += "_count";
-          AppendLabels(&out, f->label_names, values);
-          out += ' ';
-          out += StringPrintf("%llu",
-                              static_cast<unsigned long long>(cumulative));
-          out += '\n';
-        }
-        break;
+    for (const auto& [values, counter] : f->counters) {
+      out += name;
+      AppendLabels(&out, f->label_names, values);
+      out += ' ';
+      out += StringPrintf("%llu",
+                          static_cast<unsigned long long>(counter->Value()));
+      out += '\n';
+    }
+    for (const auto& [values, hist] : f->histograms) {
+      // One relaxed read per bucket; _count derives from the same
+      // reads so the rendered series is internally consistent even
+      // under concurrent Observe(). Buckets whose histogram carries
+      // exemplars get an OpenMetrics-style `# {trace_id="..."} v`
+      // suffix — our own parser/linter accept it, and it is what
+      // links a scrape's latency spike to a retained trace.
+      auto append_exemplar = [&](size_t bucket) {
+        Histogram::Exemplar ex = hist->ExemplarFor(bucket);
+        if (!ex.valid()) return;
+        out += " # {trace_id=\"";
+        AppendEscapedLabelValue(&out, ex.trace_id);
+        out += "\"} ";
+        out += FormatValue(ex.value);
+      };
+      uint64_t counts[Histogram::kRenderedBuckets] = {};
+      for (size_t i = 0; i < Histogram::kBuckets; ++i) {
+        counts[Histogram::RenderedBucketOf(i)] += hist->BucketCount(i);
+      }
+      const std::vector<double>& edges = DefaultLatencyBucketEdges();
+      uint64_t cumulative = 0;
+      for (size_t b = 0; b < Histogram::kRenderedBuckets; ++b) {
+        cumulative += counts[b];
+        std::string le =
+            b < edges.size() ? FormatValue(edges[b]) : "+Inf";
+        out += name;
+        out += "_bucket";
+        AppendLabels(&out, f->label_names, values, "le", &le);
+        out += ' ';
+        out += StringPrintf("%llu",
+                            static_cast<unsigned long long>(cumulative));
+        append_exemplar(b);
+        out += '\n';
+      }
+      out += name;
+      out += "_sum";
+      AppendLabels(&out, f->label_names, values);
+      out += ' ';
+      out += FormatValue(hist->Sum());
+      out += '\n';
+      out += name;
+      out += "_count";
+      AppendLabels(&out, f->label_names, values);
+      out += ' ';
+      out += StringPrintf("%llu",
+                          static_cast<unsigned long long>(cumulative));
+      out += '\n';
     }
   }
   return out;

@@ -2,14 +2,14 @@
 //
 // Lock-cheap by construction: the hot path touches only owned
 // instruments, and every owned instrument is a handful of relaxed
-// atomics (a Counter is one fetch_add; a Histogram::Observe is a
-// binary search over ~20 edges plus one fetch_add and one CAS-add).
+// atomics (a Counter is one fetch_add; a Histogram::Observe is a bit
+// scan plus two fetch_adds).
 // Label families hand out stable instrument pointers, so callers
 // resolve labels once at startup and never pay the map lookup per
 // request. Subsystems that already accumulate their own stats
 // (cache::ReportCache, DatasetRegistry, ingest::EncodingCache,
-// TenantGovernor, the server's request counters) register *callback*
-// families instead: the registry asks them for samples only at scrape
+// TenantGovernor, the server's request counters) register a
+// *collector* instead: the registry asks it for samples only at scrape
 // time, so nothing is double-accounted and the hot path pays zero.
 //
 // RenderPrometheus() emits Prometheus text exposition format 0.0.4
@@ -50,33 +50,39 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-/// A value that can go up and down. Thread-safe.
-class Gauge {
- public:
-  void Set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(double delta);
-  double Value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
-/// Fixed-bucket histogram with atomic per-bucket counts. Observe() is
-/// lock-free; rendering reads relaxed snapshots (Prometheus scrapes
-/// tolerate the instantaneous skew, and RenderPrometheus derives
-/// _count from the buckets it read so the exposition is always
-/// internally consistent).
+/// Latency histogram, in seconds, with HDR-style log-linear buckets.
+/// Values round up to whole microseconds; the first 64 buckets are
+/// exact (one per microsecond); beyond them each power-of-two range
+/// splits into 32 linear sub-buckets, so a bucket is at most 1/32
+/// (~3.1%) of its value wide and Quantile() overshoots by at most that
+/// much. The top group reaches past 2^40 us (~12 days).
+///
+/// Observe() is lock-free: a bit scan for the index, two fetch_adds
+/// (bucket, and the sum in nanoseconds), and a CAS loop on the max that
+/// only runs on a new maximum. Readers see relaxed snapshots;
+/// RenderPrometheus() derives _count from the buckets it read, so a
+/// scrape is always internally consistent. /metrics renders the fine
+/// buckets summed at the 21 DefaultLatencyBucketEdges(), each an exact
+/// bucket edge.
 ///
 /// Exemplars: ObserveWithExemplar() additionally remembers, per
-/// bucket, the request id of the worst recent observation — "worst"
-/// meaning the largest value to land in that bucket within the last
-/// kExemplarHorizonSeconds. The common case (not a new worst) is two
-/// relaxed loads; only a new worst pays the exemplar mutex. The
+/// rendered bucket, the request id of the worst recent observation —
+/// "worst" meaning the largest value to land in that bucket within the
+/// last kExemplarHorizonSeconds. The common case (not a new worst) is
+/// two relaxed loads; only a new worst pays the exemplar mutex. The
 /// renderer emits them as OpenMetrics-style `# {trace_id="..."} v`
 /// suffixes on _bucket lines, which links a latency spike in a scrape
 /// straight to a retained trace in the flight recorder.
 class Histogram {
  public:
+  static constexpr int kLinearBuckets = 64;  // 1us-exact region
+  static constexpr int kSubBuckets = 32;     // per power-of-two group
+  static constexpr int kGroups = 35;         // covers up to 2^40 us
+  static constexpr size_t kBuckets =
+      kLinearBuckets + static_cast<size_t>(kSubBuckets) * kGroups;
+  /// Rendered buckets: the 21 default edges plus +Inf.
+  static constexpr size_t kRenderedBuckets = 22;
+
   /// An exemplar slot's freshness window: a stored worst observation
   /// older than this yields to any newer one, so the exemplar tracks
   /// "recently worst", not "worst ever".
@@ -88,20 +94,41 @@ class Histogram {
     bool valid() const { return !trace_id.empty(); }
   };
 
-  /// `upper_edges` are the finite bucket bounds, strictly ascending;
-  /// an implicit +Inf bucket is appended.
-  explicit Histogram(std::vector<double> upper_edges);
+  Histogram();
+  /// Copies counts, sum and max, not exemplars: a value snapshot that
+  /// lets per-thread histograms live in containers and be merged.
+  Histogram(const Histogram& other);
+  Histogram& operator=(const Histogram& other);
 
-  void Observe(double value);
+  /// Negative and infinite values count as 0 seconds; NaN is ignored.
+  void Observe(double seconds);
   /// Observe() plus exemplar bookkeeping; `trace_id` empty degrades to
   /// a plain Observe().
-  void ObserveWithExemplar(double value, std::string_view trace_id);
+  void ObserveWithExemplar(double seconds, std::string_view trace_id);
+  /// Adds `other`'s counts, sum and max into this histogram.
+  void Merge(const Histogram& other);
 
-  const std::vector<double>& edges() const { return edges_; }
-  /// Non-cumulative count of bucket `i` (i == edges().size() is +Inf).
+  uint64_t Count() const;
+  /// Sum of observations, kept in whole nanoseconds.
+  double Sum() const {
+    return static_cast<double>(sum_ns_.load(std::memory_order_relaxed)) *
+           1e-9;
+  }
+  /// Exact (unquantized) largest observation; 0 when empty.
+  double Max() const { return max_.load(std::memory_order_relaxed); }
+  /// Seconds at quantile `q` in [0, 1]: the upper edge of the bucket
+  /// holding the nearest-rank observation, clamped to Max(). 0 when
+  /// empty.
+  double Quantile(double q) const;
+
+  /// Count of fine bucket `i` (i < kBuckets).
   uint64_t BucketCount(size_t i) const;
-  double Sum() const { return sum_.load(std::memory_order_relaxed); }
-  /// The exemplar for bucket `i` (same indexing as BucketCount).
+  /// Upper edge, in microseconds, of fine bucket `i`.
+  static uint64_t UpperEdgeUs(size_t i);
+  /// The rendered bucket (index into DefaultLatencyBucketEdges(), or
+  /// kRenderedBuckets - 1 for +Inf) that fine bucket `i` sums into.
+  static size_t RenderedBucketOf(size_t i);
+  /// The exemplar of rendered bucket `i`.
   Exemplar ExemplarFor(size_t i) const;
 
  private:
@@ -113,22 +140,38 @@ class Histogram {
     std::string trace_id;
   };
 
-  std::vector<double> edges_;
-  std::unique_ptr<std::atomic<uint64_t>[]> buckets_;  // edges_.size() + 1
-  std::atomic<double> sum_{0.0};
+  /// The fine bucket for an observation; clamps it in place to
+  /// [0, 1e9] seconds, with infinity counting as 0.
+  static size_t BucketFor(double* seconds);
+  /// Counts one clamped observation; returns its fine bucket.
+  size_t Add(double* seconds);
+  void AddSumAndMax(uint64_t sum_ns, double max);
+
+  std::atomic<uint64_t> buckets_[kBuckets];
+  std::atomic<uint64_t> sum_ns_{0};
+  std::atomic<double> max_{0.0};
   mutable std::mutex exemplar_mu_;
-  std::unique_ptr<ExemplarSlot[]> exemplars_;  // edges_.size() + 1
+  ExemplarSlot exemplars_[kRenderedBuckets];
   /// Set on the first ObserveWithExemplar(): lets the renderer skip
   /// the slot scan for histograms that never carry exemplars.
   std::atomic<bool> has_exemplars_{false};
 };
 
-/// Default histogram edges for latency-in-seconds metrics, derived from
-/// harness::LatencyHistogram's HDR bucket layout: the last 1us-exact
-/// linear bucket, then the top sub-bucket of each power-of-two group —
-/// (64 << g) - 1 microseconds — up to ~67s. Same quantization family
-/// as the load harness, coarsened to a Prometheus-friendly 21 edges.
-std::vector<double> DefaultLatencyBucketEdges();
+/// Count, max and nearest-rank percentiles (seconds) of one Histogram:
+/// the latency blocks of /v1/stats.
+struct LatencySummary {
+  uint64_t count = 0;
+  double p50 = 0.0;
+  double p90 = 0.0;
+  double p99 = 0.0;
+  double max = 0.0;
+};
+LatencySummary Summarize(const Histogram& h);
+
+/// The /metrics bucket edges of every Histogram, in seconds: the last
+/// 1us-exact bucket, then the top sub-bucket of each power-of-two
+/// group, (64 << g) - 1 microseconds, up to ~67s.
+const std::vector<double>& DefaultLatencyBucketEdges();
 
 namespace internal {
 struct Family;
@@ -148,21 +191,13 @@ class CounterFamily {
   internal::Family* family_;
 };
 
-class GaugeFamily {
- public:
-  Gauge* WithLabels(std::vector<std::string> label_values);
-  Gauge* Get() { return WithLabels({}); }
-
- private:
-  friend class MetricsRegistry;
-  explicit GaugeFamily(internal::Family* family) : family_(family) {}
-  internal::Family* family_;
-};
-
 class HistogramFamily {
  public:
   Histogram* WithLabels(std::vector<std::string> label_values);
   Histogram* Get() { return WithLabels({}); }
+  /// The series for `label_values`, or nullptr when it was never
+  /// created (readers must not add empty series to the exposition).
+  const Histogram* Find(const std::vector<std::string>& label_values) const;
 
  private:
   friend class MetricsRegistry;
@@ -174,13 +209,23 @@ class MetricsRegistry {
  public:
   enum class Kind { kCounter, kGauge, kHistogram };
 
-  /// One scrape-time sample a callback family emits: label values (in
-  /// the family's label-name order) and the value.
+  /// One scrape-time sample a collector emits: label values (in the
+  /// family's label-name order) and the value.
   struct Sample {
     std::vector<std::string> label_values;
     double value = 0.0;
   };
-  using CollectFn = std::function<void(std::vector<Sample>*)>;
+  /// A collected family's declaration (see AddCollector).
+  struct FamilySpec {
+    std::string name;
+    std::string help;
+    Kind kind = Kind::kCounter;
+    std::vector<std::string> label_names;
+  };
+  /// Fills one sample list per family, in FamilySpec order (`out` comes
+  /// pre-sized).
+  using CollectFn =
+      std::function<void(std::vector<std::vector<Sample>>* out)>;
 
   MetricsRegistry();
   ~MetricsRegistry();
@@ -194,19 +239,15 @@ class MetricsRegistry {
   /// sites (owned by the registry, freed with it).
   CounterFamily* AddCounter(std::string name, std::string help,
                             std::vector<std::string> label_names = {});
-  GaugeFamily* AddGauge(std::string name, std::string help,
-                        std::vector<std::string> label_names = {});
+  /// Histogram families all share Histogram's fixed bucket layout.
   HistogramFamily* AddHistogram(std::string name, std::string help,
-                                std::vector<double> upper_edges,
                                 std::vector<std::string> label_names = {});
 
-  /// Register a scrape-time callback family (counter or gauge): `fn`
-  /// runs inside RenderPrometheus() and emits the family's current
-  /// samples. This is how subsystems with their own stats structs
-  /// (cache, registry, governor, ingest) export without maintaining a
-  /// second set of counters on the hot path.
-  void AddCallback(std::string name, std::string help, Kind kind,
-                   std::vector<std::string> label_names, CollectFn fn);
+  /// Scrape-time counter or gauge families fed by one `fn`, which runs
+  /// once per RenderPrometheus(): the families render from one
+  /// snapshot per scrape. This is how subsystems with their own stats
+  /// structs export without a second set of counters on the hot path.
+  void AddCollector(std::vector<FamilySpec> families, CollectFn fn);
 
   /// Prometheus text exposition format 0.0.4, families sorted by name,
   /// series sorted by label values.
@@ -219,7 +260,6 @@ class MetricsRegistry {
   mutable std::mutex mu_;  // guards families_ layout (not instrument values)
   std::map<std::string, std::unique_ptr<internal::Family>> families_;
   std::vector<std::unique_ptr<CounterFamily>> counter_handles_;
-  std::vector<std::unique_ptr<GaugeFamily>> gauge_handles_;
   std::vector<std::unique_ptr<HistogramFamily>> histogram_handles_;
 };
 

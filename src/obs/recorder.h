@@ -68,6 +68,8 @@ struct RetainedTrace {
   /// the watchdog's pin reason (e.g. "stall:solve_deadline").
   std::string retain_reason;
   std::vector<TraceSpan> spans;
+  /// Spans the trace dropped past TraceContext::kMaxSpans.
+  uint64_t dropped_spans = 0;
 
   /// Heap-aware size estimate used against the ring's byte budget.
   size_t ApproxBytes() const;

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <optional>
 #include <thread>
 #include <unordered_set>
@@ -218,33 +219,345 @@ DiagnosisServer::DiagnosisServer(ServerOptions options)
 }
 
 // ---------------------------------------------------------------------------
+// Served statistics: one declaration per number
+//
+// Every number GET /v1/stats and GET /metrics export is declared once
+// below: its /v1/stats JSON path (null: /metrics only), its /metrics
+// family and label value (no family: /v1/stats only), and how to read
+// it from one snapshot. HandleStats() walks the tables to build the
+// JSON document; SetupMetrics() registers one collector that takes one
+// snapshot per scrape and emits every family from it.
+
+namespace {
+
+using Stats = DiagnosisServer::Stats;
+using TenantStats = DiagnosisServer::TenantStats;
+constexpr auto kCounter = obs::MetricsRegistry::Kind::kCounter;
+constexpr auto kGauge = obs::MetricsRegistry::Kind::kGauge;
+
+/// A /metrics family with at most one label.
+struct MetricFamily {
+  const char* name = nullptr;
+  const char* help = nullptr;
+  obs::MetricsRegistry::Kind kind = kCounter;
+  const char* label = nullptr;
+};
+
+/// One exported number read from a `T` (Stats, or TenantStats for the
+/// per-tenant rows, whose label value is the tenant name).
+template <typename T>
+struct StatDecl {
+  const char* path;  // "section.key" or "key"
+  double (*get)(const T&);
+  MetricFamily family = {};
+  const char* label_value = nullptr;
+  bool is_flag = false;  // a JSON bool, not a number
+};
+
+// Reads one number off the snapshot `s`.
+#define QFIX_STAT(expr) \
+  [](const auto& s) -> double { return static_cast<double>(expr); }
+
+constexpr MetricFamily kRequests{"qfix_requests_total",
+                                 "Requests routed, by endpoint.", kCounter,
+                                 "endpoint"};
+constexpr MetricFamily kResponses{"qfix_http_responses_total",
+                                  "Responses written, by status class.",
+                                  kCounter, "class"};
+constexpr MetricFamily kCacheEvents{"qfix_report_cache_events_total",
+                                    "Report cache events, by kind.",
+                                    kCounter, "event"};
+constexpr MetricFamily kEvictions{"qfix_registry_evictions_total",
+                                  "Registry evictions, by kind.", kCounter,
+                                  "kind"};
+constexpr MetricFamily kPrefixEvents{
+    "qfix_encoding_cache_events_total",
+    "Chunk-prefix encoding cache events, by kind.", kCounter, "event"};
+constexpr MetricFamily kRecorderEvents{
+    "qfix_trace_recorder_events_total",
+    "Flight-recorder retention decisions, by kind.", kCounter, "event"};
+constexpr MetricFamily kStalls{"qfix_stalls_total",
+                               "Watchdog stall events, by kind.", kCounter,
+                               "kind"};
+
+const StatDecl<Stats> kStats[] = {
+    {"requests.total", QFIX_STAT(s.requests_total)},
+    {"requests.datasets", QFIX_STAT(s.requests_datasets), kRequests,
+     "datasets"},
+    {"requests.append", QFIX_STAT(s.requests_append), kRequests, "append"},
+    {"requests.diagnose", QFIX_STAT(s.requests_diagnose), kRequests,
+     "diagnose"},
+    {"requests.healthz", QFIX_STAT(s.requests_health), kRequests, "healthz"},
+    {"requests.stats", QFIX_STAT(s.requests_stats), kRequests, "stats"},
+    {"requests.metrics", QFIX_STAT(s.requests_metrics), kRequests, "metrics"},
+    {"requests.debug", QFIX_STAT(s.requests_debug), kRequests, "debug"},
+    {"requests.shed_429", QFIX_STAT(s.shed_429),
+     {"qfix_shed_total", "Requests shed with 429 over capacity."}},
+    {nullptr,
+     QFIX_STAT(s.requests_total -
+               std::min(s.requests_total, s.errors_4xx + s.errors_5xx)),
+     kResponses, "2xx"},
+    {"requests.errors_4xx", QFIX_STAT(s.errors_4xx), kResponses, "4xx"},
+    {"requests.errors_5xx", QFIX_STAT(s.errors_5xx), kResponses, "5xx"},
+    {"requests.connections", QFIX_STAT(s.connections_total),
+     {"qfix_connections_total", "TCP connections accepted."}},
+    {"requests.items", QFIX_STAT(s.items_total),
+     {"qfix_items_total", "Batch items admitted and solved."}},
+    {"requests.cached_hits", QFIX_STAT(s.cached_hits),
+     {"qfix_cached_hits_total",
+      "Diagnose sub-requests answered from the report cache."}},
+    {"cache.enabled", QFIX_STAT(s.cache_enabled), {}, {}, true},
+    {"cache.hits", QFIX_STAT(s.cache.hits), kCacheEvents, "hits"},
+    {"cache.misses", QFIX_STAT(s.cache.misses), kCacheEvents, "misses"},
+    {"cache.coalesced", QFIX_STAT(s.cache.coalesced), kCacheEvents,
+     "coalesced"},
+    {"cache.inserts", QFIX_STAT(s.cache.inserts), kCacheEvents, "inserts"},
+    {"cache.evictions", QFIX_STAT(s.cache.evictions), kCacheEvents,
+     "evictions"},
+    {"cache.invalidations", QFIX_STAT(s.cache.invalidations), kCacheEvents,
+     "invalidations"},
+    {"cache.bytes", QFIX_STAT(s.cache.bytes),
+     {"qfix_report_cache_bytes", "Report cache occupancy in bytes.", kGauge}},
+    {"cache.entries", QFIX_STAT(s.cache.entries),
+     {"qfix_report_cache_entries", "Report cache entries.", kGauge}},
+    {"cache.capacity_bytes", QFIX_STAT(s.cache.capacity_bytes),
+     {"qfix_report_cache_capacity_bytes", "Report cache byte budget.", kGauge}},
+    {"latency.count", QFIX_STAT(s.latency.count)},
+    {"latency.p50_ms", QFIX_STAT(s.latency.p50 * 1e3)},
+    {"latency.p90_ms", QFIX_STAT(s.latency.p90 * 1e3)},
+    {"latency.p99_ms", QFIX_STAT(s.latency.p99 * 1e3)},
+    {"latency.max_ms", QFIX_STAT(s.latency.max * 1e3)},
+    {"queue.inflight", QFIX_STAT(s.inflight),
+     {"qfix_inflight_items", "Batch items currently inside the admission gate.",
+      kGauge}},
+    {"queue.capacity", QFIX_STAT(s.inflight_capacity),
+     {"qfix_inflight_capacity", "Admission gate capacity in batch items.",
+      kGauge}},
+    {nullptr, QFIX_STAT(s.open_connections),
+     {"qfix_open_connections", "Connections currently admitted.", kGauge}},
+    {"registry.datasets", QFIX_STAT(s.registry.datasets),
+     {"qfix_registry_datasets", "Datasets currently registered.", kGauge}},
+    {"registry.bytes", QFIX_STAT(s.registry.bytes),
+     {"qfix_registry_bytes", "Registry occupancy over ApproxDatasetBytes.",
+      kGauge}},
+    {"registry.capacity_bytes", QFIX_STAT(s.registry.capacity_bytes),
+     {"qfix_registry_capacity_bytes", "Registry byte budget (0 = unbounded).",
+      kGauge}},
+    {"registry.evictions", QFIX_STAT(s.registry.evictions), kEvictions, "lru"},
+    {"registry.ttl_evictions", QFIX_STAT(s.registry.ttl_evictions), kEvictions,
+     "ttl"},
+    {"ingest.appends", QFIX_STAT(s.registry.appends),
+     {"qfix_ingest_appends_total", "Successful append publications."}},
+    {"ingest.chunks", QFIX_STAT(s.registry.chunks),
+     {"qfix_ingest_chunks", "Sealed chunks across registered head versions.",
+      kGauge}},
+    {"ingest.appended_queries", QFIX_STAT(s.appended_queries),
+     {"qfix_ingest_appended_queries_total", "Queries accepted via append."}},
+    {"ingest.prefix_hits", QFIX_STAT(s.encoding_cache.hits), kPrefixEvents,
+     "hit"},
+    {"ingest.prefix_misses", QFIX_STAT(s.encoding_cache.misses), kPrefixEvents,
+     "miss"},
+    {"ingest.prefix_computes", QFIX_STAT(s.encoding_cache.computes),
+     kPrefixEvents, "compute"},
+    {"ingest.encoding_cache_enabled", QFIX_STAT(s.encoding_cache_enabled), {},
+     {}, true},
+    {"ingest.encoding_cache_bytes", QFIX_STAT(s.encoding_cache.bytes),
+     {"qfix_encoding_cache_bytes", "Encoding cache occupancy in bytes.",
+      kGauge}},
+    {"ingest.encoding_cache_entries", QFIX_STAT(s.encoding_cache.entries),
+     {"qfix_encoding_cache_entries", "Encoding cache entries.", kGauge}},
+    {"ingest.surviving_cache_bytes", QFIX_STAT(s.surviving_cache_bytes),
+     {"qfix_surviving_cache_bytes",
+      "Report-cache bytes of the last appended dataset that survived its "
+      "append.",
+      kGauge}},
+    {"pool_workers", QFIX_STAT(s.pool_workers),
+     {"qfix_pool_workers", "Workers of the shared solver pool.", kGauge}},
+    {nullptr, QFIX_STAT(s.event_loops),
+     {"qfix_event_loops", "Event-loop threads sharing the listener.", kGauge}},
+    {"uptime_seconds", QFIX_STAT(s.uptime_seconds),
+     {"qfix_uptime_seconds", "Seconds since Start().", kGauge}},
+    {"metrics_scrapes_total", QFIX_STAT(s.metrics_scrapes_total),
+     {"qfix_metrics_scrapes_total", "GET /metrics responses served."}},
+    {"trace_recorder.enabled", QFIX_STAT(s.trace_recorder_enabled), {}, {},
+     true},
+    {"trace_recorder.recorded", QFIX_STAT(s.trace_recorder.recorded_total),
+     kRecorderEvents, "recorded"},
+    {"trace_recorder.retained", QFIX_STAT(s.trace_recorder.retained_total),
+     kRecorderEvents, "retained"},
+    {"trace_recorder.sampled_out",
+     QFIX_STAT(s.trace_recorder.sampled_out_total), kRecorderEvents,
+     "sampled_out"},
+    {"trace_recorder.forced", QFIX_STAT(s.trace_recorder.forced_total),
+     kRecorderEvents, "forced"},
+    {"trace_recorder.evicted", QFIX_STAT(s.trace_recorder.evicted_total),
+     kRecorderEvents, "evicted"},
+    {"trace_recorder.buffered", QFIX_STAT(s.trace_recorder.buffered),
+     {"qfix_trace_buffer_traces", "Traces currently in the flight recorder.",
+      kGauge}},
+    {"trace_recorder.buffered_bytes",
+     QFIX_STAT(s.trace_recorder.buffered_bytes),
+     {"qfix_trace_buffer_bytes", "Flight-recorder ring occupancy in bytes.",
+      kGauge}},
+    {"stalls.event_loop", QFIX_STAT(s.stalls_event_loop), kStalls,
+     "event_loop"},
+    {"stalls.solve_deadline", QFIX_STAT(s.stalls_solve_deadline), kStalls,
+     "solve_deadline"},
+    {"stalls.admission_starvation", QFIX_STAT(s.stalls_admission_starvation),
+     kStalls, "admission_starvation"},
+    {"log_lines_dropped", QFIX_STAT(s.log_lines_dropped),
+     {"qfix_log_lines_dropped_total",
+      "WARN log lines dropped by the --warn-log-per-sec token bucket."}},
+};
+
+/// Rendered under "tenants.<name>" in /v1/stats.
+const StatDecl<TenantStats> kTenantStats[] = {
+    {"weight", QFIX_STAT(s.weight),
+     {"qfix_tenant_weight", "Fair-share weight, by tenant.", kGauge, "tenant"}},
+    {"share", QFIX_STAT(s.share),
+     {"qfix_tenant_share", "Guaranteed admission share, by tenant.", kGauge,
+      "tenant"}},
+    {"inflight", QFIX_STAT(s.inflight),
+     {"qfix_tenant_inflight", "Items inside the gate, by tenant.", kGauge,
+      "tenant"}},
+    {"requests", QFIX_STAT(s.requests),
+     {"qfix_tenant_requests_total", "Diagnose requests, by tenant.", kCounter,
+      "tenant"}},
+    {"shed_429", QFIX_STAT(s.shed_429),
+     {"qfix_tenant_shed_total", "429 sheds, by tenant.", kCounter, "tenant"}},
+    {"cached_hits", QFIX_STAT(s.cached_hits),
+     {"qfix_tenant_cached_hits_total", "Report-cache hits, by tenant.",
+      kCounter, "tenant"}},
+    {"items", QFIX_STAT(s.items),
+     {"qfix_tenant_items_total", "Batch items admitted, by tenant.", kCounter,
+      "tenant"}},
+    {"cache_bytes", QFIX_STAT(s.cache_bytes)},
+    {"latency.count", QFIX_STAT(s.latency.count)},
+    {"latency.p50_ms", QFIX_STAT(s.latency.p50 * 1e3)},
+    {"latency.p90_ms", QFIX_STAT(s.latency.p90 * 1e3)},
+    {"latency.p99_ms", QFIX_STAT(s.latency.p99 * 1e3)},
+    {"latency.max_ms", QFIX_STAT(s.latency.max * 1e3)},
+};
+
+#undef QFIX_STAT
+
+/// Writes every /v1/stats row of `table` read from `from`. A path is at
+/// most "section.key", and rows of one section are adjacent.
+template <typename T, size_t N>
+void WriteStatRows(const StatDecl<T> (&table)[N], const T& from,
+                   JsonWriter* w) {
+  std::string_view section;  // the open one, "" at top level
+  for (const StatDecl<T>& row : table) {
+    if (row.path == nullptr) continue;
+    const std::string_view path = row.path;
+    const size_t dot = path.find('.');
+    const std::string_view row_section =
+        dot == std::string_view::npos ? "" : path.substr(0, dot);
+    if (row_section != section) {
+      if (!section.empty()) w->EndObject();
+      if (!row_section.empty()) {
+        w->Key(row_section);
+        w->BeginObject();
+      }
+      section = row_section;
+    }
+    w->Key(path.substr(section.empty() ? 0 : dot + 1));
+    if (row.is_flag) {
+      w->Bool(row.get(from) != 0.0);
+    } else {
+      w->Double(row.get(from));
+    }
+  }
+  if (!section.empty()) w->EndObject();
+}
+
+/// The request phases with a latency histogram, in kPhaseNames order.
+constexpr const char* kPhaseNames[] = {"parse",  "cache", "admission",
+                                       "encode", "solve", "render"};
+
+/// Which phase histogram a span feeds: refinement rounds fold into
+/// encode/solve, and solver-internal children feed none (-1).
+int PhaseIndex(std::string_view phase) {
+  if (phase == "refine_encode") return 3;
+  if (phase == "refine_solve") return 4;
+  for (size_t i = 0; i < std::size(kPhaseNames); ++i) {
+    if (phase == kPhaseNames[i]) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+/// Span time summed by phase name, in first-seen order. A batch records
+/// encode/solve (and their solver-internal children) once per item, so
+/// one request can carry a phase many times.
+std::vector<std::pair<std::string_view, double>> SecondsByPhase(
+    const std::vector<obs::TraceSpan>& spans) {
+  std::vector<std::pair<std::string_view, double>> out;
+  for (const obs::TraceSpan& span : spans) {
+    auto it = std::find_if(out.begin(), out.end(), [&](const auto& p) {
+      return p.first == span.phase;
+    });
+    if (it == out.end()) {
+      out.emplace_back(span.phase, span.DurationSeconds());
+    } else {
+      it->second += span.DurationSeconds();
+    }
+  }
+  return out;
+}
+
+/// A trace's spans as the JSON array the timings block and the debug
+/// traces endpoint share.
+void WriteSpans(const std::vector<obs::TraceSpan>& spans, JsonWriter* w) {
+  w->BeginArray();
+  for (const obs::TraceSpan& span : spans) {
+    w->BeginObject();
+    w->Key("phase");
+    w->String(span.phase);
+    w->Key("start_ms");
+    w->Double(span.start_seconds * 1e3);
+    w->Key("ms");
+    w->Double(span.DurationSeconds() * 1e3);
+    // Index of the enclosing span in this array; top-level spans omit
+    // it.
+    if (span.parent >= 0) {
+      w->Key("parent");
+      w->Int(span.parent);
+    }
+    w->EndObject();
+  }
+  w->EndArray();
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
 // Metrics registration
 //
-// Two tiers, matching the header's design note in obs/metrics.h:
-//   * owned instruments for data nothing else accumulates — per-phase
-//     latency, per-tenant diagnose latency, solver/encoder totals;
-//   * scrape-time callbacks over the stats structs the subsystems
-//     already maintain (counters_, cache_, registry_, governor_,
-//     encoding_cache_) — zero hot-path cost and no double accounting.
+// Owned instruments for data nothing else accumulates (latency by
+// phase, request and tenant; solver/encoder totals), and one
+// scrape-time collector over the stats tables above: zero hot-path
+// cost and no double accounting.
 void DiagnosisServer::SetupMetrics() {
-  std::vector<double> edges = obs::DefaultLatencyBucketEdges();
-
   obs::HistogramFamily* phases = metrics_.AddHistogram(
       "qfix_request_phase_seconds",
       "Per-phase latency of served /v1/diagnose requests "
       "(parse/cache/admission/encode/solve/render) plus response drain "
       "time (write).",
-      edges, {"phase"});
-  phase_parse_ = phases->WithLabels({"parse"});
-  phase_cache_ = phases->WithLabels({"cache"});
-  phase_admission_ = phases->WithLabels({"admission"});
-  phase_encode_ = phases->WithLabels({"encode"});
-  phase_solve_ = phases->WithLabels({"solve"});
-  phase_render_ = phases->WithLabels({"render"});
+      {"phase"});
+  for (size_t i = 0; i < std::size(kPhaseNames); ++i) {
+    phases_[i] = phases->WithLabels({kPhaseNames[i]});
+  }
   phase_write_ = phases->WithLabels({"write"});
+  diagnose_requests_seconds_ =
+      metrics_
+          .AddHistogram("qfix_diagnose_requests_seconds",
+                        "Wall time of served /v1/diagnose requests, one "
+                        "observation per request.")
+          ->Get();
   diagnose_seconds_by_tenant_ = metrics_.AddHistogram(
       "qfix_diagnose_seconds",
-      "Wall time of served /v1/diagnose requests, by tenant.", edges,
+      "Wall time of served /v1/diagnose requests (and test-only "
+      "/v1/debug/sleep stand-ins), by tenant.",
       {"tenant"});
   solver_nodes_total_ = metrics_.AddCounter(
       "qfix_solver_nodes_total",
@@ -270,302 +583,50 @@ void DiagnosisServer::SetupMetrics() {
       "qfix_slow_requests_total",
       "Diagnose requests slower than --slow-request-ms.")->Get();
 
-  using Kind = obs::MetricsRegistry::Kind;
-  using Sample = obs::MetricsRegistry::Sample;
-  metrics_.AddCallback(
-      "qfix_requests_total", "Requests routed, by endpoint.", Kind::kCounter,
-      {"endpoint"}, [this](std::vector<Sample>* out) {
-        auto add = [out](const char* endpoint, uint64_t v) {
-          out->push_back({{endpoint}, static_cast<double>(v)});
-        };
-        add("append", counters_.append.load(std::memory_order_relaxed));
-        add("datasets", counters_.datasets.load(std::memory_order_relaxed));
-        add("debug", counters_.debug.load(std::memory_order_relaxed));
-        add("diagnose", counters_.diagnose.load(std::memory_order_relaxed));
-        add("healthz", counters_.health.load(std::memory_order_relaxed));
-        add("metrics", counters_.metrics.load(std::memory_order_relaxed));
-        add("stats", counters_.stats.load(std::memory_order_relaxed));
-      });
-  metrics_.AddCallback(
-      "qfix_http_responses_total", "Responses written, by status class.",
-      Kind::kCounter, {"class"}, [this](std::vector<Sample>* out) {
-        uint64_t total = counters_.total.load(std::memory_order_relaxed);
-        uint64_t e4 = counters_.err4xx.load(std::memory_order_relaxed);
-        uint64_t e5 = counters_.err5xx.load(std::memory_order_relaxed);
-        uint64_t ok = total >= e4 + e5 ? total - e4 - e5 : 0;
-        out->push_back({{"2xx"}, static_cast<double>(ok)});
-        out->push_back({{"4xx"}, static_cast<double>(e4)});
-        out->push_back({{"5xx"}, static_cast<double>(e5)});
-      });
-  metrics_.AddCallback(
-      "qfix_shed_total", "Requests shed with 429 over capacity.",
-      Kind::kCounter, {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(counters_.shed.load(
-                                std::memory_order_relaxed))});
-      });
-  metrics_.AddCallback(
-      "qfix_connections_total", "TCP connections accepted.", Kind::kCounter,
-      {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(counters_.connections.load(
-                                std::memory_order_relaxed))});
-      });
-  metrics_.AddCallback(
-      "qfix_open_connections", "Connections currently admitted.",
-      Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(open_connections_.load(
-                                std::memory_order_relaxed))});
-      });
-  metrics_.AddCallback(
-      "qfix_inflight_items", "Batch items currently inside the admission "
-      "gate.", Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(governor_->inflight())});
-      });
-  metrics_.AddCallback(
-      "qfix_inflight_capacity", "Admission gate capacity in batch items.",
-      Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(options_.max_inflight)});
-      });
-  metrics_.AddCallback(
-      "qfix_items_total", "Batch items admitted and solved.", Kind::kCounter,
-      {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(counters_.items.load(
-                                std::memory_order_relaxed))});
-      });
-  metrics_.AddCallback(
-      "qfix_cached_hits_total",
-      "Diagnose sub-requests answered from the report cache.",
-      Kind::kCounter, {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(counters_.cached_hits.load(
-                                std::memory_order_relaxed))});
-      });
-  metrics_.AddCallback(
-      "qfix_report_cache_events_total", "Report cache events, by kind.",
-      Kind::kCounter, {"event"}, [this](std::vector<Sample>* out) {
-        if (cache_ == nullptr) return;
-        cache::ReportCache::Stats s = cache_->stats();
-        auto add = [out](const char* event, uint64_t v) {
-          out->push_back({{event}, static_cast<double>(v)});
-        };
-        add("coalesced", s.coalesced);
-        add("evictions", s.evictions);
-        add("hits", s.hits);
-        add("inserts", s.inserts);
-        add("invalidations", s.invalidations);
-        add("misses", s.misses);
-      });
-  metrics_.AddCallback(
-      "qfix_report_cache_bytes", "Report cache occupancy in bytes.",
-      Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        if (cache_ == nullptr) return;
-        out->push_back({{}, static_cast<double>(cache_->stats().bytes)});
-      });
-  metrics_.AddCallback(
-      "qfix_report_cache_entries", "Report cache entries.", Kind::kGauge, {},
-      [this](std::vector<Sample>* out) {
-        if (cache_ == nullptr) return;
-        out->push_back({{}, static_cast<double>(cache_->stats().entries)});
-      });
-  metrics_.AddCallback(
-      "qfix_report_cache_capacity_bytes", "Report cache byte budget.",
-      Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        if (cache_ == nullptr) return;
-        out->push_back(
-            {{}, static_cast<double>(cache_->stats().capacity_bytes)});
-      });
-  metrics_.AddCallback(
-      "qfix_registry_datasets", "Datasets currently registered.",
-      Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(registry_.stats().datasets)});
-      });
-  metrics_.AddCallback(
-      "qfix_registry_bytes", "Registry occupancy over ApproxDatasetBytes.",
-      Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(registry_.stats().bytes)});
-      });
-  metrics_.AddCallback(
-      "qfix_registry_capacity_bytes", "Registry byte budget (0 = unbounded).",
-      Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        out->push_back(
-            {{}, static_cast<double>(registry_.stats().capacity_bytes)});
-      });
-  metrics_.AddCallback(
-      "qfix_registry_evictions_total", "Registry evictions, by kind.",
-      Kind::kCounter, {"kind"}, [this](std::vector<Sample>* out) {
-        DatasetRegistry::Stats s = registry_.stats();
-        out->push_back({{"lru"}, static_cast<double>(s.evictions)});
-        out->push_back({{"ttl"}, static_cast<double>(s.ttl_evictions)});
-      });
-  metrics_.AddCallback(
-      "qfix_ingest_appends_total", "Successful append publications.",
-      Kind::kCounter, {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(registry_.stats().appends)});
-      });
-  metrics_.AddCallback(
-      "qfix_ingest_chunks", "Sealed chunks across registered head versions.",
-      Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(registry_.stats().chunks)});
-      });
-  metrics_.AddCallback(
-      "qfix_ingest_appended_queries_total", "Queries accepted via append.",
-      Kind::kCounter, {}, [this](std::vector<Sample>* out) {
-        out->push_back(
-            {{}, static_cast<double>(counters_.appended_queries.load(
-                     std::memory_order_relaxed))});
-      });
-  metrics_.AddCallback(
-      "qfix_encoding_cache_events_total",
-      "Chunk-prefix encoding cache events, by kind.", Kind::kCounter,
-      {"event"}, [this](std::vector<Sample>* out) {
-        if (encoding_cache_ == nullptr) return;
-        ingest::EncodingCache::Stats s = encoding_cache_->stats();
-        out->push_back({{"compute"}, static_cast<double>(s.computes)});
-        out->push_back({{"hit"}, static_cast<double>(s.hits)});
-        out->push_back({{"miss"}, static_cast<double>(s.misses)});
-      });
-  metrics_.AddCallback(
-      "qfix_encoding_cache_bytes", "Encoding cache occupancy in bytes.",
-      Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        if (encoding_cache_ == nullptr) return;
-        out->push_back(
-            {{}, static_cast<double>(encoding_cache_->stats().bytes)});
-      });
-  metrics_.AddCallback(
-      "qfix_encoding_cache_entries", "Encoding cache entries.", Kind::kGauge,
-      {}, [this](std::vector<Sample>* out) {
-        if (encoding_cache_ == nullptr) return;
-        out->push_back(
-            {{}, static_cast<double>(encoding_cache_->stats().entries)});
-      });
-  metrics_.AddCallback(
-      "qfix_surviving_cache_bytes",
-      "Report-cache bytes of the last appended dataset that survived its "
-      "append.", Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        out->push_back(
-            {{}, static_cast<double>(counters_.surviving_cache_bytes.load(
-                     std::memory_order_relaxed))});
-      });
-  metrics_.AddCallback(
-      "qfix_tenant_requests_total", "Diagnose requests, by tenant.",
-      Kind::kCounter, {"tenant"}, [this](std::vector<Sample>* out) {
-        for (const TenantGovernor::TenantStats& t : governor_->Snapshot()) {
-          out->push_back({{t.name}, static_cast<double>(t.requests)});
+  // One family per distinct MetricFamily in the tables, and each row's
+  // slot in the collector's output (SIZE_MAX: /v1/stats only).
+  std::vector<obs::MetricsRegistry::FamilySpec> specs;
+  auto slots = [&specs](const auto& table) {
+    std::vector<size_t> out;
+    for (const auto& row : table) {
+      const MetricFamily& f = row.family;
+      size_t slot = SIZE_MAX;
+      for (size_t i = 0; f.name != nullptr && i < specs.size(); ++i) {
+        if (specs[i].name == f.name) slot = i;
+      }
+      if (f.name != nullptr && slot == SIZE_MAX) {
+        slot = specs.size();
+        specs.push_back({f.name, f.help, f.kind,
+                         f.label != nullptr ? std::vector<std::string>{f.label}
+                                            : std::vector<std::string>{}});
+      }
+      out.push_back(slot);
+    }
+    return out;
+  };
+  std::vector<size_t> stat_slots = slots(kStats);
+  std::vector<size_t> tenant_slots = slots(kTenantStats);
+  metrics_.AddCollector(
+      std::move(specs),
+      [this, stat_slots = std::move(stat_slots),
+       tenant_slots = std::move(tenant_slots)](
+          std::vector<std::vector<obs::MetricsRegistry::Sample>>* out) {
+        const Stats s = stats();
+        for (size_t i = 0; i < std::size(kStats); ++i) {
+          if (stat_slots[i] == SIZE_MAX) continue;
+          const char* label = kStats[i].label_value;
+          (*out)[stat_slots[i]].push_back(
+              {label != nullptr ? std::vector<std::string>{label}
+                                : std::vector<std::string>{},
+               kStats[i].get(s)});
         }
-      });
-  metrics_.AddCallback(
-      "qfix_tenant_shed_total", "429 sheds, by tenant.", Kind::kCounter,
-      {"tenant"}, [this](std::vector<Sample>* out) {
-        for (const TenantGovernor::TenantStats& t : governor_->Snapshot()) {
-          out->push_back({{t.name}, static_cast<double>(t.shed_429)});
+        for (const TenantStats& t : s.tenants) {
+          for (size_t i = 0; i < std::size(kTenantStats); ++i) {
+            if (tenant_slots[i] == SIZE_MAX) continue;
+            (*out)[tenant_slots[i]].push_back({{t.name},
+                                               kTenantStats[i].get(t)});
+          }
         }
-      });
-  metrics_.AddCallback(
-      "qfix_tenant_items_total", "Batch items admitted, by tenant.",
-      Kind::kCounter, {"tenant"}, [this](std::vector<Sample>* out) {
-        for (const TenantGovernor::TenantStats& t : governor_->Snapshot()) {
-          out->push_back({{t.name}, static_cast<double>(t.items)});
-        }
-      });
-  metrics_.AddCallback(
-      "qfix_tenant_cached_hits_total", "Report-cache hits, by tenant.",
-      Kind::kCounter, {"tenant"}, [this](std::vector<Sample>* out) {
-        for (const TenantGovernor::TenantStats& t : governor_->Snapshot()) {
-          out->push_back({{t.name}, static_cast<double>(t.cached_hits)});
-        }
-      });
-  metrics_.AddCallback(
-      "qfix_tenant_inflight", "Items inside the gate, by tenant.",
-      Kind::kGauge, {"tenant"}, [this](std::vector<Sample>* out) {
-        for (const TenantGovernor::TenantStats& t : governor_->Snapshot()) {
-          out->push_back({{t.name}, static_cast<double>(t.inflight)});
-        }
-      });
-  metrics_.AddCallback(
-      "qfix_tenant_share", "Guaranteed admission share, by tenant.",
-      Kind::kGauge, {"tenant"}, [this](std::vector<Sample>* out) {
-        for (const TenantGovernor::TenantStats& t : governor_->Snapshot()) {
-          out->push_back({{t.name}, static_cast<double>(t.share)});
-        }
-      });
-  metrics_.AddCallback(
-      "qfix_tenant_weight", "Fair-share weight, by tenant.", Kind::kGauge,
-      {"tenant"}, [this](std::vector<Sample>* out) {
-        for (const TenantGovernor::TenantStats& t : governor_->Snapshot()) {
-          out->push_back({{t.name}, static_cast<double>(t.weight)});
-        }
-      });
-  metrics_.AddCallback(
-      "qfix_pool_workers", "Workers of the shared solver pool.", Kind::kGauge,
-      {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(
-                                pool_ != nullptr ? pool_->num_workers() : 0)});
-      });
-  metrics_.AddCallback(
-      "qfix_event_loops", "Event-loop threads sharing the listener.",
-      Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(options_.event_loop_threads)});
-      });
-  metrics_.AddCallback(
-      "qfix_uptime_seconds", "Seconds since Start().", Kind::kGauge, {},
-      [this](std::vector<Sample>* out) {
-        out->push_back(
-            {{}, running_.load(std::memory_order_relaxed)
-                     ? MonotonicSeconds() - started_at_seconds_
-                     : 0.0});
-      });
-  metrics_.AddCallback(
-      "qfix_metrics_scrapes_total", "GET /metrics responses served.",
-      Kind::kCounter, {}, [this](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(counters_.metrics.load(
-                                std::memory_order_relaxed))});
-      });
-  metrics_.AddCallback(
-      "qfix_log_lines_dropped_total",
-      "WARN log lines dropped by the --warn-log-per-sec token bucket.",
-      Kind::kCounter, {}, [](std::vector<Sample>* out) {
-        out->push_back({{}, static_cast<double>(DroppedLogLines())});
-      });
-  metrics_.AddCallback(
-      "qfix_stalls_total", "Watchdog stall events, by kind.", Kind::kCounter,
-      {"kind"}, [this](std::vector<Sample>* out) {
-        out->push_back(
-            {{"admission_starvation"},
-             static_cast<double>(stalls_admission_starvation_.load(
-                 std::memory_order_relaxed))});
-        out->push_back({{"event_loop"},
-                        static_cast<double>(stalls_event_loop_.load(
-                            std::memory_order_relaxed))});
-        out->push_back({{"solve_deadline"},
-                        static_cast<double>(stalls_solve_deadline_.load(
-                            std::memory_order_relaxed))});
-      });
-  metrics_.AddCallback(
-      "qfix_trace_recorder_events_total",
-      "Flight-recorder retention decisions, by kind.", Kind::kCounter,
-      {"event"}, [this](std::vector<Sample>* out) {
-        if (recorder_ == nullptr) return;
-        obs::TraceRecorder::Stats s = recorder_->stats();
-        auto add = [out](const char* event, uint64_t v) {
-          out->push_back({{event}, static_cast<double>(v)});
-        };
-        add("evicted", s.evicted_total);
-        add("forced", s.forced_total);
-        add("recorded", s.recorded_total);
-        add("retained", s.retained_total);
-        add("sampled_out", s.sampled_out_total);
-      });
-  metrics_.AddCallback(
-      "qfix_trace_buffer_bytes", "Flight-recorder ring occupancy in bytes.",
-      Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        if (recorder_ == nullptr) return;
-        out->push_back(
-            {{}, static_cast<double>(recorder_->stats().buffered_bytes)});
-      });
-  metrics_.AddCallback(
-      "qfix_trace_buffer_traces", "Traces currently in the flight recorder.",
-      Kind::kGauge, {}, [this](std::vector<Sample>* out) {
-        if (recorder_ == nullptr) return;
-        out->push_back(
-            {{}, static_cast<double>(recorder_->stats().buffered)});
       });
 }
 
@@ -996,192 +1057,19 @@ HttpResponse DiagnosisServer::HandleMetrics() {
 }
 
 HttpResponse DiagnosisServer::HandleStats() {
-  Stats s = stats();
+  const Stats s = stats();
   JsonWriter w;
   w.BeginObject();
-  w.Key("requests");
-  w.BeginObject();
-  w.Key("total");
-  w.Uint(s.requests_total);
-  w.Key("datasets");
-  w.Uint(s.requests_datasets);
-  w.Key("append");
-  w.Uint(s.requests_append);
-  w.Key("diagnose");
-  w.Uint(s.requests_diagnose);
-  w.Key("healthz");
-  w.Uint(s.requests_health);
-  w.Key("stats");
-  w.Uint(s.requests_stats);
-  w.Key("metrics");
-  w.Uint(s.requests_metrics);
-  w.Key("debug");
-  w.Uint(s.requests_debug);
-  w.Key("shed_429");
-  w.Uint(s.shed_429);
-  w.Key("errors_4xx");
-  w.Uint(s.errors_4xx);
-  w.Key("errors_5xx");
-  w.Uint(s.errors_5xx);
-  w.Key("connections");
-  w.Uint(s.connections_total);
-  w.Key("items");
-  w.Uint(s.items_total);
-  w.Key("cached_hits");
-  w.Uint(s.cached_hits);
-  w.EndObject();
-  w.Key("cache");
-  w.BeginObject();
-  w.Key("enabled");
-  w.Bool(s.cache_enabled);
-  w.Key("hits");
-  w.Uint(s.cache.hits);
-  w.Key("misses");
-  w.Uint(s.cache.misses);
-  w.Key("coalesced");
-  w.Uint(s.cache.coalesced);
-  w.Key("inserts");
-  w.Uint(s.cache.inserts);
-  w.Key("evictions");
-  w.Uint(s.cache.evictions);
-  w.Key("invalidations");
-  w.Uint(s.cache.invalidations);
-  w.Key("bytes");
-  w.Uint(s.cache.bytes);
-  w.Key("entries");
-  w.Uint(s.cache.entries);
-  w.Key("capacity_bytes");
-  w.Uint(s.cache.capacity_bytes);
-  w.EndObject();
-  w.Key("latency");
-  w.BeginObject();
-  w.Key("count");
-  w.Uint(s.latency.count);
-  w.Key("p50_ms");
-  w.Double(s.latency.p50 * 1e3);
-  w.Key("p90_ms");
-  w.Double(s.latency.p90 * 1e3);
-  w.Key("p99_ms");
-  w.Double(s.latency.p99 * 1e3);
-  w.Key("max_ms");
-  w.Double(s.latency.max * 1e3);
-  w.EndObject();
-  w.Key("queue");
-  w.BeginObject();
-  w.Key("inflight");
-  w.Int(s.inflight);
-  w.Key("capacity");
-  w.Int(s.inflight_capacity);
-  w.EndObject();
-  w.Key("registry");
-  w.BeginObject();
-  w.Key("datasets");
-  w.Uint(s.registry.datasets);
-  w.Key("bytes");
-  w.Uint(s.registry.bytes);
-  w.Key("capacity_bytes");
-  w.Uint(s.registry.capacity_bytes);
-  w.Key("evictions");
-  w.Uint(s.registry.evictions);
-  w.Key("ttl_evictions");
-  w.Uint(s.registry.ttl_evictions);
-  w.EndObject();
-  w.Key("ingest");
-  w.BeginObject();
-  w.Key("appends");
-  w.Uint(s.registry.appends);
-  w.Key("chunks");
-  w.Uint(s.registry.chunks);
-  w.Key("appended_queries");
-  w.Uint(s.appended_queries);
-  w.Key("prefix_hits");
-  w.Uint(s.encoding_cache.hits);
-  w.Key("prefix_misses");
-  w.Uint(s.encoding_cache.misses);
-  w.Key("prefix_computes");
-  w.Uint(s.encoding_cache.computes);
-  w.Key("encoding_cache_enabled");
-  w.Bool(s.encoding_cache_enabled);
-  w.Key("encoding_cache_bytes");
-  w.Uint(s.encoding_cache.bytes);
-  w.Key("encoding_cache_entries");
-  w.Uint(s.encoding_cache.entries);
-  w.Key("surviving_cache_bytes");
-  w.Uint(s.surviving_cache_bytes);
-  w.EndObject();
+  WriteStatRows(kStats, s, &w);
   w.Key("tenants");
   w.BeginObject();
-  for (const TenantGovernor::TenantStats& t : s.tenants) {
+  for (const TenantStats& t : s.tenants) {
     w.Key(t.name);
     w.BeginObject();
-    w.Key("weight");
-    w.Int(t.weight);
-    w.Key("share");
-    w.Int(t.share);
-    w.Key("inflight");
-    w.Int(t.inflight);
-    w.Key("requests");
-    w.Uint(t.requests);
-    w.Key("shed_429");
-    w.Uint(t.shed_429);
-    w.Key("cached_hits");
-    w.Uint(t.cached_hits);
-    w.Key("items");
-    w.Uint(t.items);
-    w.Key("cache_bytes");
-    w.Uint(cache_ != nullptr ? cache_->TenantBytes(t.name) : 0);
-    w.Key("latency");
-    w.BeginObject();
-    w.Key("count");
-    w.Uint(t.latency.count);
-    w.Key("p50_ms");
-    w.Double(t.latency.p50 * 1e3);
-    w.Key("p90_ms");
-    w.Double(t.latency.p90 * 1e3);
-    w.Key("p99_ms");
-    w.Double(t.latency.p99 * 1e3);
-    w.Key("max_ms");
-    w.Double(t.latency.max * 1e3);
-    w.EndObject();
+    WriteStatRows(kTenantStats, t, &w);
     w.EndObject();
   }
   w.EndObject();
-  w.Key("pool_workers");
-  w.Int(pool_ != nullptr ? pool_->num_workers() : 0);
-  w.Key("uptime_seconds");
-  w.Double(s.uptime_seconds);
-  w.Key("metrics_scrapes_total");
-  w.Uint(s.metrics_scrapes_total);
-  w.Key("trace_recorder");
-  w.BeginObject();
-  w.Key("enabled");
-  w.Bool(recorder_ != nullptr);
-  w.Key("recorded");
-  w.Uint(s.trace_recorder.recorded_total);
-  w.Key("retained");
-  w.Uint(s.trace_recorder.retained_total);
-  w.Key("sampled_out");
-  w.Uint(s.trace_recorder.sampled_out_total);
-  w.Key("forced");
-  w.Uint(s.trace_recorder.forced_total);
-  w.Key("evicted");
-  w.Uint(s.trace_recorder.evicted_total);
-  w.Key("buffered");
-  w.Uint(s.trace_recorder.buffered);
-  w.Key("buffered_bytes");
-  w.Uint(s.trace_recorder.buffered_bytes);
-  w.EndObject();
-  w.Key("stalls");
-  w.BeginObject();
-  w.Key("event_loop");
-  w.Uint(s.stalls_event_loop);
-  w.Key("solve_deadline");
-  w.Uint(s.stalls_solve_deadline);
-  w.Key("admission_starvation");
-  w.Uint(s.stalls_admission_starvation);
-  w.EndObject();
-  w.Key("log_lines_dropped");
-  w.Uint(DroppedLogLines());
   w.EndObject();
   HttpResponse out;
   out.body = w.str();
@@ -1685,24 +1573,11 @@ HttpResponse DiagnosisServer::DiagnoseInner(const HttpRequest& request,
     w->Key("total_ms");
     w->Double(trace.ElapsedSeconds() * 1e3);
     w->Key("phases");
-    w->BeginArray();
-    for (const obs::TraceSpan& span : trace.spans()) {
-      w->BeginObject();
-      w->Key("phase");
-      w->String(span.phase);
-      w->Key("start_ms");
-      w->Double(span.start_seconds * 1e3);
-      w->Key("ms");
-      w->Double(span.DurationSeconds() * 1e3);
-      // Index of the enclosing span in this array; top-level spans
-      // omit it.
-      if (span.parent >= 0) {
-        w->Key("parent");
-        w->Int(span.parent);
-      }
-      w->EndObject();
-    }
-    w->EndArray();
+    WriteSpans(trace.spans(), w);
+    // Spans past the trace's cap are dropped, never silently: a deep
+    // walk-back can record more than fit.
+    w->Key("dropped_spans");
+    w->Uint(trace.dropped_spans());
     w->EndObject();
   };
 
@@ -1753,88 +1628,56 @@ HttpResponse DiagnosisServer::DiagnoseInner(const HttpRequest& request,
   }
   if (!*with_timings) trace.EndSpan(sp_render);
 
+  ObserveDiagnose(trace, tenants, batch.size());
+
+  HttpResponse out;
+  out.body = w.str();
+  return out;
+}
+
+void DiagnosisServer::ObserveDiagnose(const obs::TraceContext& trace,
+                                      const std::vector<std::string>& tenants,
+                                      size_t items) {
   // Only served diagnoses feed the percentiles: healthz/stats pollers
-  // and shed 429s run in microseconds and would swamp the sample
-  // window, hiding exactly the latency /v1/stats exists to expose.
-  // Recorded globally AND per tenant — a slow tenant's solves land in
-  // its own recorder, so its p99 never skews another tenant's.
+  // and shed 429s run in microseconds and would swamp them. One
+  // observation per request, and one per tenant it touched — a slow
+  // tenant's solves land in its own series, so its p99 never skews
+  // another tenant's.
   const double elapsed = trace.ElapsedSeconds();
-  latency_.Record(elapsed);
+  diagnose_requests_seconds_->Observe(elapsed);
   for (const std::string& tenant : tenants) {
-    governor_->RecordLatency(tenant, elapsed);
     // The exemplar pins the request id of the worst recent observation
     // to its bucket, so a latency spike on the dashboard links straight
     // to its retained trace in /v1/debug/traces.
     diagnose_seconds_by_tenant_->WithLabels({tenant})->ObserveWithExemplar(
         elapsed, trace.request_id());
   }
-  // Phase histograms count one observation per phase per request: the
-  // engine records encode/solve once per batch item (plus refinement
-  // rounds), so per-item durations are summed before observing.
-  // Solver-internal child spans are trace-only detail.
-  {
-    double by_phase[6] = {0, 0, 0, 0, 0, 0};
-    bool seen[6] = {false, false, false, false, false, false};
-    obs::Histogram* hists[6] = {phase_parse_,  phase_cache_, phase_admission_,
-                                phase_encode_, phase_solve_, phase_render_};
-    for (const obs::TraceSpan& span : trace.spans()) {
-      int idx = -1;
-      if (span.phase == "parse") {
-        idx = 0;
-      } else if (span.phase == "cache") {
-        idx = 1;
-      } else if (span.phase == "admission") {
-        idx = 2;
-      } else if (span.phase == "encode" || span.phase == "refine_encode") {
-        idx = 3;
-      } else if (span.phase == "solve" || span.phase == "refine_solve") {
-        idx = 4;
-      } else if (span.phase == "render") {
-        idx = 5;
-      }
-      if (idx < 0) continue;
-      by_phase[idx] += span.DurationSeconds();
-      seen[idx] = true;
-    }
-    for (int i = 0; i < 6; ++i) {
-      if (seen[i]) hists[i]->Observe(by_phase[i]);
-    }
+  const auto by_phase = SecondsByPhase(trace.spans());
+  // The phase histograms observe each phase once per request.
+  double phase_seconds[std::size(kPhaseNames)] = {};
+  bool seen[std::size(kPhaseNames)] = {};
+  for (const auto& [phase, seconds] : by_phase) {
+    const int i = PhaseIndex(phase);
+    if (i < 0) continue;
+    phase_seconds[i] += seconds;
+    seen[i] = true;
   }
-  if (options_.slow_request_ms > 0.0 &&
-      elapsed * 1e3 >= options_.slow_request_ms) {
-    slow_requests_total_->Inc();
-    LogEvent log(LogLevel::kWarn, "slow_request");
-    log.Str("request_id", trace.request_id())
-        .Double("total_ms", elapsed * 1e3)
-        .Uint("items", batch.size());
-    std::string tenant_list;
-    for (const std::string& tenant : tenants) {
-      if (!tenant_list.empty()) tenant_list += ',';
-      tenant_list += tenant;
-    }
-    log.Str("tenants", tenant_list);
-    // Aggregate by phase name: a batch records encode/solve (and
-    // solver-internal children) once per item, and one log line must
-    // not carry duplicate keys.
-    std::vector<std::pair<std::string, double>> phase_ms;
-    for (const obs::TraceSpan& span : trace.spans()) {
-      auto it = std::find_if(
-          phase_ms.begin(), phase_ms.end(),
-          [&](const auto& p) { return p.first == span.phase; });
-      if (it == phase_ms.end()) {
-        phase_ms.emplace_back(span.phase, span.DurationSeconds() * 1e3);
-      } else {
-        it->second += span.DurationSeconds() * 1e3;
-      }
-    }
-    for (const auto& [phase, ms] : phase_ms) {
-      log.Double(phase + "_ms", ms);
-    }
+  for (size_t i = 0; i < std::size(kPhaseNames); ++i) {
+    if (seen[i]) phases_[i]->Observe(phase_seconds[i]);
   }
-
-  HttpResponse out;
-  out.body = w.str();
-  return out;
+  if (options_.slow_request_ms <= 0.0 ||
+      elapsed * 1e3 < options_.slow_request_ms) {
+    return;
+  }
+  slow_requests_total_->Inc();
+  LogEvent log(LogLevel::kWarn, "slow_request");
+  log.Str("request_id", trace.request_id())
+      .Double("total_ms", elapsed * 1e3)
+      .Uint("items", items)
+      .Str("tenants", Join(tenants, ","));
+  for (const auto& [phase, seconds] : by_phase) {
+    log.Double(std::string(phase) + "_ms", seconds * 1e3);
+  }
 }
 
 namespace {
@@ -1965,22 +1808,9 @@ HttpResponse DiagnosisServer::HandleDebugTraces(const HttpRequest& request) {
       w.Key("retain_reason");
       w.String(t.retain_reason);
       w.Key("spans");
-      w.BeginArray();
-      for (const obs::TraceSpan& span : t.spans) {
-        w.BeginObject();
-        w.Key("phase");
-        w.String(span.phase);
-        w.Key("start_ms");
-        w.Double(span.start_seconds * 1e3);
-        w.Key("ms");
-        w.Double(span.DurationSeconds() * 1e3);
-        if (span.parent >= 0) {
-          w.Key("parent");
-          w.Int(span.parent);
-        }
-        w.EndObject();
-      }
-      w.EndArray();
+      WriteSpans(t.spans, &w);
+      w.Key("dropped_spans");
+      w.Uint(t.dropped_spans);
       w.EndObject();
     }
   }
@@ -2008,6 +1838,7 @@ void DiagnosisServer::RecordTrace(const obs::TraceContext& trace,
   // Safe to read spans(): the solve (the only concurrent recorder)
   // joined before the handler returned.
   rt.spans = trace.spans();
+  rt.dropped_spans = trace.dropped_spans();
   recorder_->Record(std::move(rt));
 }
 
@@ -2063,7 +1894,9 @@ HttpResponse DiagnosisServer::HandleDebugSleep(const HttpRequest& request) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   ticket.Release();
-  governor_->RecordLatency(tenant, MonotonicSeconds() - start_seconds);
+  // One observation, in the series both /v1/stats and /metrics read.
+  diagnose_seconds_by_tenant_->WithLabels({tenant})->Observe(
+      MonotonicSeconds() - start_seconds);
   JsonWriter w;
   w.BeginObject();
   w.Key("slept_seconds");
@@ -2115,7 +1948,7 @@ DiagnosisServer::Stats DiagnosisServer::stats() const {
   s.inflight = governor_->inflight();
   s.inflight_capacity = options_.max_inflight;
   s.open_connections = open_connections_.load(std::memory_order_relaxed);
-  s.latency = latency_.Take();
+  s.latency = obs::Summarize(*diagnose_requests_seconds_);
   s.cache_enabled = cache_ != nullptr;
   if (cache_ != nullptr) s.cache = cache_->stats();
   s.registry = registry_.stats();
@@ -2125,18 +1958,29 @@ DiagnosisServer::Stats DiagnosisServer::stats() const {
   if (encoding_cache_ != nullptr) s.encoding_cache = encoding_cache_->stats();
   s.surviving_cache_bytes =
       counters_.surviving_cache_bytes.load(std::memory_order_relaxed);
-  s.tenants = governor_->Snapshot();
+  for (TenantGovernor::TenantStats& g : governor_->Snapshot()) {
+    TenantStats t;
+    static_cast<TenantGovernor::TenantStats&>(t) = std::move(g);
+    t.cache_bytes = cache_ != nullptr ? cache_->TenantBytes(t.name) : 0;
+    const obs::Histogram* h = diagnose_seconds_by_tenant_->Find({t.name});
+    if (h != nullptr) t.latency = obs::Summarize(*h);
+    s.tenants.push_back(std::move(t));
+  }
   s.uptime_seconds = running_.load(std::memory_order_relaxed)
                          ? MonotonicSeconds() - started_at_seconds_
                          : 0.0;
+  s.pool_workers = pool_ != nullptr ? pool_->num_workers() : 0;
+  s.event_loops = options_.event_loop_threads;
   s.metrics_scrapes_total =
       counters_.metrics.load(std::memory_order_relaxed);
+  s.trace_recorder_enabled = recorder_ != nullptr;
   if (recorder_ != nullptr) s.trace_recorder = recorder_->stats();
   s.stalls_event_loop = stalls_event_loop_.load(std::memory_order_relaxed);
   s.stalls_solve_deadline =
       stalls_solve_deadline_.load(std::memory_order_relaxed);
   s.stalls_admission_starvation =
       stalls_admission_starvation_.load(std::memory_order_relaxed);
+  s.log_lines_dropped = DroppedLogLines();
   return s;
 }
 

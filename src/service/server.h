@@ -40,6 +40,11 @@
 //     per tenant, and /v1/stats breaks requests/sheds/latency
 //     percentiles down per tenant so one tenant's p99 never skews
 //     another's.
+//   * One stats table: every number /v1/stats and /metrics export is
+//     declared once in server.cc (JSON path, metric family, reader),
+//     and both endpoints render it from one stats() snapshot. Latency
+//     percentiles come from the same obs::Histogram series /metrics
+//     exports.
 //   * Stop() is cooperative: the cancellation token fires (queued batch
 //     items fail fast with ResourceExhausted), the listeners
 //     unregister, open connections close (ones waiting on a dispatched
@@ -82,7 +87,6 @@
 #include "common/result.h"
 #include "exec/cancellation.h"
 #include "exec/thread_pool.h"
-#include "harness/metrics.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/watchdog.h"
@@ -237,7 +241,16 @@ class DiagnosisServer : private ConnectionHost {
   /// before Start() (tools/qfix_serve --d0/--log).
   DatasetRegistry& registry() { return registry_; }
 
-  /// Point-in-time serving statistics (what GET /v1/stats renders).
+  /// One tenant's admission counters plus what the server adds.
+  struct TenantStats : TenantGovernor::TenantStats {
+    /// Report-cache bytes held by the tenant's datasets.
+    uint64_t cache_bytes = 0;
+    /// Lifetime percentiles of qfix_diagnose_seconds{tenant}.
+    obs::LatencySummary latency;
+  };
+
+  /// Point-in-time serving statistics: what GET /v1/stats and the
+  /// scrape-time families of GET /metrics render, one snapshot each.
   struct Stats {
     uint64_t requests_total = 0;
     uint64_t requests_datasets = 0;
@@ -263,9 +276,10 @@ class DiagnosisServer : private ConnectionHost {
     int inflight_capacity = 0;
     /// Connections currently open (excludes over-capacity rejects).
     int open_connections = 0;
-    /// Percentiles over successfully served /v1/diagnose requests only
-    /// (healthz/stats probes and 429 sheds would swamp the window).
-    harness::LatencyRecorder::Snapshot latency;
+    /// Lifetime percentiles of served /v1/diagnose requests only
+    /// (qfix_diagnose_requests_seconds; healthz/stats probes and 429
+    /// sheds would swamp them), within the histogram's 3.1% error.
+    obs::LatencySummary latency;
     bool cache_enabled = false;
     cache::ReportCache::Stats cache;
     /// Registry occupancy and eviction counters.
@@ -280,18 +294,23 @@ class DiagnosisServer : private ConnectionHost {
     uint64_t surviving_cache_bytes = 0;
     /// Per-tenant breakdown (weights, shares, sheds, latency), sorted
     /// by tenant name.
-    std::vector<TenantGovernor::TenantStats> tenants;
+    std::vector<TenantStats> tenants;
     /// Seconds since Start() (0 when not running).
     double uptime_seconds = 0.0;
+    int pool_workers = 0;
+    int event_loops = 0;
     /// GET /metrics responses served.
     uint64_t metrics_scrapes_total = 0;
     /// Flight-recorder occupancy and retention counters (all zero when
     /// trace_buffer_bytes == 0).
+    bool trace_recorder_enabled = false;
     obs::TraceRecorder::Stats trace_recorder;
     /// Watchdog events fired, by kind.
     uint64_t stalls_event_loop = 0;
     uint64_t stalls_solve_deadline = 0;
     uint64_t stalls_admission_starvation = 0;
+    /// WARN lines the --warn-log-per-sec token bucket dropped.
+    uint64_t log_lines_dropped = 0;
   };
   Stats stats() const;
 
@@ -418,25 +437,27 @@ class DiagnosisServer : private ConnectionHost {
   std::atomic<uint64_t> stalls_solve_deadline_{0};
   std::atomic<uint64_t> stalls_admission_starvation_{0};
 
-  /// Registers every metric family (owned instruments for phase/tenant
-  /// latency + solver counters, scrape-time callbacks over the existing
-  /// stats structs). Called once, at the end of the constructor.
+  /// Registers every metric family: owned instruments for latency and
+  /// solver counters, plus one scrape-time collector over the stats
+  /// table. Called once, at the end of the constructor.
   void SetupMetrics();
+  /// Observes one finished diagnose: request and tenant latency, the
+  /// phase histograms, and the slow-request log line.
+  void ObserveDiagnose(const obs::TraceContext& trace,
+                       const std::vector<std::string>& tenants,
+                       size_t items);
 
   Counters counters_;
-  harness::LatencyRecorder latency_;
   double started_at_seconds_ = 0.0;
 
   obs::MetricsRegistry metrics_;
   // Owned instruments, resolved once in SetupMetrics(). Phase
-  // histograms share one family (label: phase).
-  obs::Histogram* phase_parse_ = nullptr;
-  obs::Histogram* phase_cache_ = nullptr;
-  obs::Histogram* phase_admission_ = nullptr;
-  obs::Histogram* phase_encode_ = nullptr;
-  obs::Histogram* phase_solve_ = nullptr;
-  obs::Histogram* phase_render_ = nullptr;
+  // histograms share one family (label: phase), indexed as kPhases in
+  // server.cc.
+  obs::Histogram* phases_[6] = {};
   obs::Histogram* phase_write_ = nullptr;
+  /// One observation per served diagnose (the /v1/stats global block).
+  obs::Histogram* diagnose_requests_seconds_ = nullptr;
   obs::HistogramFamily* diagnose_seconds_by_tenant_ = nullptr;
   obs::Counter* solver_nodes_total_ = nullptr;
   obs::Counter* solver_lp_iterations_total_ = nullptr;

@@ -176,17 +176,6 @@ void TenantGovernor::CountItems(std::string_view tenant, uint64_t items) {
   TouchLocked(tenant).items += items;
 }
 
-void TenantGovernor::RecordLatency(std::string_view tenant, double seconds) {
-  // LatencyRecorder is itself thread-safe; the governor lock only
-  // guards the map lookup.
-  harness::LatencyRecorder* recorder = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    recorder = &TouchLocked(tenant).latency;
-  }
-  recorder->Record(seconds);
-}
-
 std::vector<TenantGovernor::TenantStats> TenantGovernor::Snapshot() const {
   std::vector<TenantStats> out;
   std::lock_guard<std::mutex> lock(mu_);
@@ -208,7 +197,6 @@ std::vector<TenantGovernor::TenantStats> TenantGovernor::Snapshot() const {
     s.shed_429 = t->shed;
     s.cached_hits = t->cached_hits;
     s.items = t->items;
-    s.latency = t->latency.Take();
     out.push_back(std::move(s));
   }
   std::sort(out.begin(), out.end(),

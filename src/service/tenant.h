@@ -22,9 +22,10 @@
 //     contending tenant this degenerates to the old global gate: its
 //     share is the whole capacity.
 //
-// The governor also owns the per-tenant serving counters and latency
-// recorders that GET /v1/stats renders: a slow tenant's solves land in
-// its own recorder, so one tenant's p99 never skews another's.
+// The governor also owns the per-tenant serving counters that
+// GET /v1/stats and /metrics render. It owns no latency: per-tenant
+// latency is the server's qfix_diagnose_seconds{tenant} histogram, so
+// a slow tenant's solves still never skew another tenant's p99.
 #ifndef QFIX_SERVICE_TENANT_H_
 #define QFIX_SERVICE_TENANT_H_
 
@@ -36,8 +37,6 @@
 #include <unordered_map>
 #include <utility>
 #include <vector>
-
-#include "harness/metrics.h"
 
 namespace qfix {
 namespace service {
@@ -108,7 +107,6 @@ class TenantGovernor {
   void CountShed(std::string_view tenant);
   void CountCachedHit(std::string_view tenant);
   void CountItems(std::string_view tenant, uint64_t items);
-  void RecordLatency(std::string_view tenant, double seconds);
 
   /// Point-in-time view of one tenant (what /v1/stats renders).
   struct TenantStats {
@@ -122,7 +120,6 @@ class TenantGovernor {
     uint64_t shed_429 = 0;
     uint64_t cached_hits = 0;
     uint64_t items = 0;
-    harness::LatencyRecorder::Snapshot latency;
   };
   /// Every tenant ever seen, sorted by name.
   std::vector<TenantStats> Snapshot() const;
@@ -139,7 +136,6 @@ class TenantGovernor {
     uint64_t shed = 0;
     uint64_t cached_hits = 0;
     uint64_t items = 0;
-    harness::LatencyRecorder latency{1024};
   };
 
   Tenant& TouchLocked(std::string_view tenant);

@@ -1,10 +1,10 @@
-// Load-generation stack: LatencyHistogram quantization/merge
-// guarantees, TenantGovernor weighted fair-share admission (fake
-// clock), and harness::RunLoad driven end to end against a live
-// DiagnosisServer — closed-loop steady state sustains the target
-// concurrency, open-loop overload sheds 429s per tenant (a greedy
-// tenant cannot starve a light one), and /v1/stats keeps per-tenant
-// latency recorders split so one tenant's slow solves never skew
+// Load-generation stack: latency-histogram (obs::Histogram)
+// quantization/merge guarantees, TenantGovernor weighted fair-share
+// admission (fake clock), and harness::RunLoad driven end to end
+// against a live DiagnosisServer — closed-loop steady state sustains
+// the target concurrency, open-loop overload sheds 429s per tenant (a
+// greedy tenant cannot starve a light one), and /v1/stats keeps
+// per-tenant latency split so one tenant's slow solves never skew
 // another's p99. Runs in the TSan CI lane: the governor and the
 // per-worker histogram/merge pattern must be race-free.
 #include <gtest/gtest.h>
@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "common/json.h"
-#include "harness/histogram.h"
 #include "harness/loadgen.h"
+#include "obs/metrics.h"
 #include "service/client.h"
 #include "service/json_value.h"
 #include "service/server.h"
@@ -29,7 +29,6 @@
 namespace qfix {
 namespace {
 
-using harness::LatencyHistogram;
 using harness::LoadOptions;
 using harness::LoadRequestTemplate;
 using harness::LoadResult;
@@ -42,85 +41,91 @@ using service::TenantGovernor;
 using service::TenantOf;
 
 // ---------------------------------------------------------------------------
-// LatencyHistogram
+// Latency histogram: the load generator records into obs::Histogram,
+// one per worker and tenant, merged after the run.
 
 TEST(LatencyHistogramTest, EmptyIsAllZero) {
-  LatencyHistogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.min(), 0.0);
-  EXPECT_EQ(h.max(), 0.0);
-  EXPECT_EQ(h.mean(), 0.0);
-  EXPECT_EQ(h.Percentile(0.5), 0.0);
+  obs::Histogram h;
+  EXPECT_EQ(h.Count(), 0u);
+  EXPECT_EQ(h.Sum(), 0.0);
+  EXPECT_EQ(h.Max(), 0.0);
+  EXPECT_EQ(h.Quantile(0.0), 0.0);
+  EXPECT_EQ(h.Quantile(0.5), 0.0);
 }
 
 TEST(LatencyHistogramTest, LinearRegionIsExact) {
-  // The first 64 buckets are one-per-microsecond: percentiles of small
+  // The first 64 buckets are one-per-microsecond: quantiles of small
   // values quantize to exactly the recorded microsecond.
-  LatencyHistogram h;
+  obs::Histogram h;
   for (int us = 1; us <= 50; ++us) {
-    h.Record(us * 1e-6);
+    h.Observe(us * 1e-6);
   }
-  EXPECT_EQ(h.count(), 50u);
-  EXPECT_DOUBLE_EQ(h.min(), 1e-6);
-  EXPECT_DOUBLE_EQ(h.max(), 50e-6);
-  EXPECT_NEAR(h.Percentile(0.50), 25e-6, 1e-6);
-  EXPECT_NEAR(h.Percentile(0.90), 45e-6, 1e-6);
-  EXPECT_NEAR(h.Percentile(1.00), 50e-6, 1e-9);  // clamped to exact max
+  EXPECT_EQ(h.Count(), 50u);
+  EXPECT_NEAR(h.Quantile(0.0), 1e-6, 1e-12);  // the smallest sample
+  EXPECT_DOUBLE_EQ(h.Max(), 50e-6);
+  EXPECT_NEAR(h.Quantile(0.50), 25e-6, 1e-12);
+  EXPECT_NEAR(h.Quantile(0.90), 45e-6, 1e-12);
+  EXPECT_DOUBLE_EQ(h.Quantile(1.00), 50e-6);  // clamped to exact max
 }
 
 TEST(LatencyHistogramTest, RelativeErrorIsBounded) {
-  // Each power-of-two group splits into 32 sub-buckets, so a reported
-  // percentile overshoots the true value by at most ~1/32 plus the
-  // 1us quantization. Check across four decades.
+  // Each power-of-two group splits into 32 sub-buckets, and values
+  // round up, so a reported quantile never undershoots and overshoots
+  // the true value by at most ~1/32 plus the 1us quantization. Check
+  // across four decades.
   for (double value : {130e-6, 1.7e-3, 23e-3, 0.9, 7.5}) {
-    LatencyHistogram h;
-    h.Record(value);
-    const double p = h.Percentile(0.5);
-    EXPECT_GE(p, value - 1e-6) << value;
-    EXPECT_LE(p, value * (1.0 + 1.0 / 32) + 2e-6) << value;
+    obs::Histogram h;
+    h.Observe(value);
+    h.Observe(value * 4);  // so Quantile(0.5) is not clamped to Max()
+    const double p = h.Quantile(0.5);
+    EXPECT_GE(p, value) << value;
+    EXPECT_LE(p, value * (1.0 + 1.0 / 32) + 1e-6) << value;
   }
 }
 
 TEST(LatencyHistogramTest, PercentilesAreMonotone) {
-  LatencyHistogram h;
+  obs::Histogram h;
   for (int i = 0; i < 1000; ++i) {
-    h.Record(1e-4 + i * 1e-5);  // 0.1ms .. ~10ms
+    h.Observe(1e-4 + i * 1e-5);  // 0.1ms .. ~10ms
   }
   double prev = 0.0;
   for (double q : {0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0}) {
-    const double p = h.Percentile(q);
+    const double p = h.Quantile(q);
     EXPECT_GE(p, prev) << "q=" << q;
     prev = p;
   }
-  EXPECT_NEAR(h.Percentile(0.999), 10.1e-3, 0.5e-3);
+  EXPECT_NEAR(h.Quantile(0.999), 10.1e-3, 0.5e-3);
 }
 
 TEST(LatencyHistogramTest, MergeMatchesSingleRecorder) {
   // The harness records per worker thread and merges at the end; the
   // merged histogram must be indistinguishable from one recorder
-  // having seen every sample.
-  LatencyHistogram a, b, all;
+  // having seen every sample, and a copy from its original.
+  obs::Histogram a, b, all;
   for (int i = 0; i < 500; ++i) {
     const double v = 1e-5 + (i % 97) * 3e-4;
-    (i % 2 == 0 ? a : b).Record(v);
-    all.Record(v);
+    (i % 2 == 0 ? a : b).Observe(v);
+    all.Observe(v);
   }
   a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-  EXPECT_DOUBLE_EQ(a.mean(), all.mean());
-  for (double q : {0.5, 0.9, 0.99}) {
-    EXPECT_DOUBLE_EQ(a.Percentile(q), all.Percentile(q)) << q;
+  EXPECT_EQ(a.Count(), all.Count());
+  EXPECT_DOUBLE_EQ(a.Max(), all.Max());
+  EXPECT_NEAR(a.Sum(), all.Sum(), 1e-9);
+  for (double q : {0.0, 0.5, 0.9, 0.99}) {
+    EXPECT_DOUBLE_EQ(a.Quantile(q), all.Quantile(q)) << q;
   }
+  const obs::Histogram copy = a;
+  EXPECT_EQ(copy.Count(), a.Count());
+  EXPECT_DOUBLE_EQ(copy.Quantile(0.9), a.Quantile(0.9));
 }
 
 TEST(LatencyHistogramTest, NegativeSamplesClampToZero) {
-  LatencyHistogram h;
-  h.Record(-1.0);
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.max(), 0.0);
-  EXPECT_EQ(h.Percentile(1.0), 0.0);
+  obs::Histogram h;
+  h.Observe(-1.0);
+  EXPECT_EQ(h.Count(), 1u);
+  EXPECT_EQ(h.Max(), 0.0);
+  EXPECT_EQ(h.Sum(), 0.0);
+  EXPECT_EQ(h.Quantile(1.0), 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -259,7 +264,6 @@ TEST(TenantGovernorTest, SnapshotCountsPerTenant) {
   gov.CountShed("a");
   gov.CountCachedHit("b");
   gov.CountItems("a", 3);
-  gov.RecordLatency("a", 0.010);
 
   auto stats = gov.Snapshot();
   ASSERT_EQ(stats.size(), 2u);
@@ -268,7 +272,6 @@ TEST(TenantGovernorTest, SnapshotCountsPerTenant) {
   EXPECT_EQ(stats[0].requests, 2u);
   EXPECT_EQ(stats[0].shed_429, 1u);
   EXPECT_EQ(stats[0].items, 3u);
-  EXPECT_EQ(stats[0].latency.count, 1u);
   EXPECT_EQ(stats[1].cached_hits, 1u);
   EXPECT_EQ(stats[1].requests, 1u);
 }
@@ -336,9 +339,9 @@ TEST_F(LoadGenTest, ClosedLoopSustainsTargetConcurrency) {
   EXPECT_EQ(r.classes.ok_2xx, r.attempted);
   EXPECT_EQ(r.classes.shed_429, 0u);
   EXPECT_EQ(r.classes.transport, 0u);
-  EXPECT_EQ(r.latency.count(), r.classes.ok_2xx);
+  EXPECT_EQ(r.latency.Count(), r.classes.ok_2xx);
   // Per-request latency is at least the service time.
-  EXPECT_GE(r.latency.Percentile(0.5), 0.018);
+  EXPECT_GE(r.latency.Quantile(0.5), 0.018);
   ASSERT_EQ(r.tenants.size(), 1u);
   EXPECT_EQ(r.tenants[0].name, "t1");
   EXPECT_EQ(r.tenants[0].attempted, r.attempted);
@@ -398,8 +401,8 @@ TEST_F(LoadGenTest, OpenLoopOverloadShedsGreedyNotLight) {
 TEST_F(LoadGenTest, PerTenantStatsKeepLatencySplit) {
   // Regression for the aggregated-recorder bug: /v1/stats used to fold
   // every tenant's solve latency into one recorder, so a slow tenant
-  // dragged every tenant's percentiles. The per-tenant recorders must
-  // keep a fast tenant's p99 far below a slow tenant's p50.
+  // dragged every tenant's percentiles. The per-tenant series must keep
+  // a fast tenant's p99 far below a slow tenant's p50.
   StartServer(ServerOptions{});
 
   service::ClientConnection conn("127.0.0.1", port_);
@@ -496,7 +499,7 @@ TEST(LoadGenUnitTest, ConnectionFailuresClassifyAsTransport) {
   EXPECT_GT(r.attempted, 0u);
   EXPECT_EQ(r.classes.ok_2xx, 0u);
   EXPECT_EQ(r.classes.transport, r.attempted);
-  EXPECT_EQ(r.latency.count(), 0u);  // failed sends record no latency
+  EXPECT_EQ(r.latency.Count(), 0u);  // failed sends record no latency
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "harness/histogram.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
@@ -26,56 +25,66 @@ namespace {
 // ---------------------------------------------------------------------------
 // Instruments
 
-TEST(MetricsTest, CounterAndGaugeBasics) {
+TEST(MetricsTest, CounterBasics) {
   Counter c;
   EXPECT_EQ(c.Value(), 0u);
   c.Inc();
   c.Inc(41);
   EXPECT_EQ(c.Value(), 42u);
+}
 
-  Gauge g;
-  g.Set(2.5);
-  EXPECT_DOUBLE_EQ(g.Value(), 2.5);
-  g.Add(-1.0);
-  EXPECT_DOUBLE_EQ(g.Value(), 1.5);
+/// Counts per rendered (/metrics) bucket: the fine buckets summed the
+/// way RenderPrometheus sums them.
+std::vector<uint64_t> RenderedCounts(const Histogram& h) {
+  std::vector<uint64_t> out(Histogram::kRenderedBuckets, 0);
+  for (size_t i = 0; i < Histogram::kBuckets; ++i) {
+    out[Histogram::RenderedBucketOf(i)] += h.BucketCount(i);
+  }
+  return out;
 }
 
 TEST(MetricsTest, HistogramBucketsAndSum) {
-  Histogram h({0.1, 1.0, 10.0});
-  h.Observe(0.05);   // bucket 0
-  h.Observe(0.1);    // le=0.1 is inclusive: bucket 0
-  h.Observe(0.5);    // bucket 1
-  h.Observe(100.0);  // +Inf bucket
-  EXPECT_EQ(h.BucketCount(0), 2u);
-  EXPECT_EQ(h.BucketCount(1), 1u);
-  EXPECT_EQ(h.BucketCount(2), 0u);
-  EXPECT_EQ(h.BucketCount(3), 1u);  // +Inf
-  EXPECT_DOUBLE_EQ(h.Sum(), 0.05 + 0.1 + 0.5 + 100.0);
+  const std::vector<double>& edges = DefaultLatencyBucketEdges();
+  Histogram h;
+  h.Observe(30e-6);     // bucket 0 (le 63us)
+  h.Observe(edges[0]);  // le is inclusive: bucket 0
+  h.Observe(100e-6);    // bucket 1 (le 127us)
+  h.Observe(100.0);     // past the last edge: +Inf
+  std::vector<uint64_t> counts = RenderedCounts(h);
+  EXPECT_EQ(counts[0], 2u);
+  EXPECT_EQ(counts[1], 1u);
+  EXPECT_EQ(counts[2], 0u);
+  EXPECT_EQ(counts[Histogram::kRenderedBuckets - 1], 1u);  // +Inf
+  EXPECT_EQ(h.Count(), 4u);
+  EXPECT_DOUBLE_EQ(h.Sum(), 30e-6 + edges[0] + 100e-6 + 100.0);
+  EXPECT_DOUBLE_EQ(h.Max(), 100.0);
 }
 
-TEST(MetricsTest, DefaultLatencyEdgesMatchHarnessHistogramLayout) {
-  std::vector<double> edges = DefaultLatencyBucketEdges();
-  ASSERT_FALSE(edges.empty());
-  // Strictly ascending (a Histogram constructor invariant, but assert
-  // it here so a bad derivation fails with a readable message).
+TEST(MetricsTest, DefaultLatencyEdgesAreExactBucketEdges) {
+  const std::vector<double>& edges = DefaultLatencyBucketEdges();
+  ASSERT_EQ(edges.size(), Histogram::kRenderedBuckets - 1);
   for (size_t i = 1; i < edges.size(); ++i) {
     EXPECT_LT(edges[i - 1], edges[i]) << "edge " << i;
   }
-  // Every edge must be an exact harness::LatencyHistogram bucket upper
-  // edge: recording an edge-valued latency into both histograms lands
-  // in buckets with identical upper bounds.
-  using harness::LatencyHistogram;
-  std::set<uint64_t> harness_edges_us;
-  const size_t total =
-      LatencyHistogram::kLinearBuckets +
-      LatencyHistogram::kGroups * LatencyHistogram::kSubBuckets;
-  for (size_t i = 0; i < total; ++i) {
-    harness_edges_us.insert(LatencyHistogram::UpperEdgeUs(i));
-  }
-  for (double edge : edges) {
-    uint64_t us = static_cast<uint64_t>(std::llround(edge * 1e6));
-    EXPECT_TRUE(harness_edges_us.count(us))
-        << edge << "s is not a harness bucket edge";
+  // Every edge is a fine bucket's exact upper edge: an edge-valued
+  // observation lands in a bucket bounded by that very edge and renders
+  // under it (inclusive le), and one microsecond more renders in the
+  // next bucket up.
+  for (size_t k = 0; k < edges.size(); ++k) {
+    Histogram h;
+    h.Observe(edges[k]);
+    size_t fine = Histogram::kBuckets;
+    for (size_t i = 0; i < Histogram::kBuckets; ++i) {
+      if (h.BucketCount(i) == 1) fine = i;
+    }
+    ASSERT_LT(fine, Histogram::kBuckets) << edges[k];
+    EXPECT_EQ(Histogram::UpperEdgeUs(fine),
+              static_cast<uint64_t>(std::llround(edges[k] * 1e6)))
+        << edges[k];
+    EXPECT_EQ(Histogram::RenderedBucketOf(fine), k) << edges[k];
+    Histogram above;
+    above.Observe(edges[k] + 1e-6);
+    EXPECT_EQ(RenderedCounts(above)[k + 1], 1u) << edges[k];
   }
 }
 
@@ -89,8 +98,10 @@ TEST(MetricsTest, RenderParsesBackWithTypesHelpAndValues) {
                           {"endpoint"});
   requests->WithLabels({"diagnose"})->Inc(3);
   requests->WithLabels({"healthz"})->Inc(1);
-  GaugeFamily* inflight = registry.AddGauge("test_inflight", "In flight.");
-  inflight->Get()->Set(2.0);
+  registry.AddCollector({{"test_inflight", "In flight.",
+                          MetricsRegistry::Kind::kGauge, {}}},
+                        [](std::vector<std::vector<MetricsRegistry::Sample>>*
+                               out) { (*out)[0].push_back({{}, 2.0}); });
 
   auto parsed = ParseExposition(registry.RenderPrometheus());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -135,8 +146,8 @@ TEST(MetricsTest, LabelValueEscapingRoundTrips) {
 
 TEST(MetricsTest, HistogramExpositionIsCumulativeAndLintsClean) {
   MetricsRegistry registry;
-  HistogramFamily* family = registry.AddHistogram(
-      "test_latency_seconds", "Latency.", {0.1, 1.0}, {"phase"});
+  HistogramFamily* family =
+      registry.AddHistogram("test_latency_seconds", "Latency.", {"phase"});
   Histogram* h = family->WithLabels({"solve"});
   h->Observe(0.05);
   h->Observe(0.5);
@@ -147,13 +158,19 @@ TEST(MetricsTest, HistogramExpositionIsCumulativeAndLintsClean) {
 
   auto parsed = ParseExposition(text);
   ASSERT_TRUE(parsed.ok());
-  double le_01 = -1, le_1 = -1, le_inf = -1, sum = -1, count = -1;
+  // Rendered at the 21 default edges plus +Inf, cumulatively.
+  std::vector<std::string> les;
+  double le_33ms = -1, le_66ms = -1, le_524ms = -1, le_8s = -1, le_inf = -1;
+  double sum = -1, count = -1;
   for (const auto& sample : parsed->samples) {
     if (sample.name == "test_latency_seconds_bucket") {
       const std::string* le = sample.FindLabel("le");
       ASSERT_NE(le, nullptr);
-      if (*le == "0.1") le_01 = sample.value;
-      if (*le == "1") le_1 = sample.value;
+      les.push_back(*le);
+      if (*le == "0.032767") le_33ms = sample.value;
+      if (*le == "0.065535") le_66ms = sample.value;
+      if (*le == "0.524287") le_524ms = sample.value;
+      if (*le == "8.388607") le_8s = sample.value;
       if (*le == "+Inf") le_inf = sample.value;
     } else if (sample.name == "test_latency_seconds_sum") {
       sum = sample.value;
@@ -161,8 +178,13 @@ TEST(MetricsTest, HistogramExpositionIsCumulativeAndLintsClean) {
       count = sample.value;
     }
   }
-  EXPECT_DOUBLE_EQ(le_01, 1.0);   // cumulative
-  EXPECT_DOUBLE_EQ(le_1, 2.0);
+  EXPECT_EQ(les.size(), Histogram::kRenderedBuckets);
+  EXPECT_EQ(les.front(), "6.3e-05");
+  EXPECT_EQ(les.back(), "+Inf");
+  EXPECT_DOUBLE_EQ(le_33ms, 0.0);
+  EXPECT_DOUBLE_EQ(le_66ms, 1.0);  // cumulative
+  EXPECT_DOUBLE_EQ(le_524ms, 2.0);
+  EXPECT_DOUBLE_EQ(le_8s, 3.0);
   EXPECT_DOUBLE_EQ(le_inf, 3.0);
   EXPECT_DOUBLE_EQ(count, 3.0);
   EXPECT_NEAR(sum, 5.55, 1e-9);
@@ -182,24 +204,33 @@ TEST(MetricsTest, WithLabelsReturnsStablePointer) {
   EXPECT_EQ(first->Value(), 1u);
 }
 
-TEST(MetricsTest, CallbackFamilySampledAtScrapeTime) {
+TEST(MetricsTest, CollectorSampledOncePerScrape) {
   MetricsRegistry registry;
   std::atomic<int> source{7};
-  registry.AddCallback(
-      "test_callback_total", "Callback.", MetricsRegistry::Kind::kCounter,
-      {"kind"}, [&source](std::vector<MetricsRegistry::Sample>* out) {
-        out->push_back({{"a"}, static_cast<double>(source.load())});
+  int calls = 0;
+  registry.AddCollector(
+      {{"test_callback_total", "Callback.", MetricsRegistry::Kind::kCounter,
+        {"kind"}},
+       {"test_callback_level", "Level.", MetricsRegistry::Kind::kGauge, {}}},
+      [&](std::vector<std::vector<MetricsRegistry::Sample>>* out) {
+        ++calls;
+        (*out)[0].push_back({{"a"}, static_cast<double>(source.load())});
+        (*out)[1].push_back({{}, 2.0 * source.load()});
       });
 
   auto first = ParseExposition(registry.RenderPrometheus());
   ASSERT_TRUE(first.ok());
-  ASSERT_EQ(first->samples.size(), 1u);
-  EXPECT_DOUBLE_EQ(first->samples[0].value, 7.0);
+  ASSERT_EQ(first->samples.size(), 2u);
+  EXPECT_EQ(calls, 1);  // one snapshot feeds both families
+  EXPECT_EQ(first->types.at("test_callback_level"), "gauge");
+  EXPECT_DOUBLE_EQ(first->samples[0].value, 14.0);  // sorted by name
+  EXPECT_DOUBLE_EQ(first->samples[1].value, 7.0);
 
   source = 9;  // a later scrape sees the new value: nothing is cached
   auto second = ParseExposition(registry.RenderPrometheus());
   ASSERT_TRUE(second.ok());
-  EXPECT_DOUBLE_EQ(second->samples[0].value, 9.0);
+  EXPECT_EQ(calls, 2);
+  EXPECT_DOUBLE_EQ(second->samples[1].value, 9.0);
 }
 
 TEST(MetricsTest, NameValidation) {
@@ -292,8 +323,8 @@ TEST(MetricsTest, ConcurrentObserveAndRenderStaysConsistent) {
   MetricsRegistry registry;
   CounterFamily* counters =
       registry.AddCounter("test_mt_total", "MT.", {"worker"});
-  HistogramFamily* hists = registry.AddHistogram(
-      "test_mt_seconds", "MT latency.", {0.001, 0.01, 0.1}, {"worker"});
+  HistogramFamily* hists =
+      registry.AddHistogram("test_mt_seconds", "MT latency.", {"worker"});
 
   constexpr int kWriters = 4;
   constexpr int kOpsPerWriter = 5000;
@@ -340,6 +371,43 @@ TEST(MetricsTest, ConcurrentObserveAndRenderStaysConsistent) {
   }
   EXPECT_DOUBLE_EQ(total, kWriters * kOpsPerWriter);
   EXPECT_DOUBLE_EQ(count_total, kWriters * kOpsPerWriter);
+}
+
+TEST(MetricsTest, ConcurrentObserveWhileQuantileStaysBounded) {
+  // /v1/stats reads quantiles of the very histograms request threads
+  // are observing into. Every read must stay within the observed range
+  // (plus the 3.1% bucket width), and counts must never go backwards.
+  Histogram h;
+  constexpr int kWriters = 4;
+  constexpr int kOpsPerWriter = 20000;
+  std::atomic<int> done{0};
+  std::vector<std::thread> writers;
+  writers.reserve(kWriters);
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&h, &done] {
+      for (int i = 0; i < kOpsPerWriter; ++i) {
+        h.Observe(1e-3 + (i % 1000) * 1e-6);  // [1ms, 2ms)
+      }
+      done.fetch_add(1);
+    });
+  }
+  uint64_t last_count = 0;
+  int reads = 0;
+  while (done.load() < kWriters || reads == 0) {
+    const LatencySummary s = Summarize(h);
+    ASSERT_GE(s.count, last_count);
+    last_count = s.count;
+    for (double q : {s.p50, s.p90, s.p99, s.max}) {
+      if (s.count == 0) break;
+      ASSERT_GE(q, 1e-3);
+      ASSERT_LE(q, 2e-3 * (1.0 + 1.0 / 32));
+    }
+    ++reads;
+  }
+  for (std::thread& t : writers) t.join();
+  EXPECT_EQ(h.Count(), static_cast<uint64_t>(kWriters) * kOpsPerWriter);
+  EXPECT_DOUBLE_EQ(h.Max(), 1e-3 + 999 * 1e-6);
+  EXPECT_DOUBLE_EQ(h.Quantile(1.0), h.Max());
 }
 
 // ---------------------------------------------------------------------------
@@ -511,29 +579,33 @@ TEST_F(LogCaptureTest, WarnRateLimitDropsAndCounts) {
 // Histogram exemplars
 
 TEST(MetricsTest, ExemplarTracksWorstRecentPerBucket) {
-  Histogram h({0.1, 1.0});
+  // Exemplars live per rendered bucket: 50ms renders under le=65.535ms,
+  // 0.3-0.45s under le=524.287ms, and 100s under +Inf.
+  Histogram h;
   h.ObserveWithExemplar(0.05, "q-fast");
-  h.ObserveWithExemplar(0.5, "q-mid");
-  h.ObserveWithExemplar(0.7, "q-mid-worse");
-  h.ObserveWithExemplar(0.3, "q-mid-better");  // not a new worst
-  h.ObserveWithExemplar(50.0, "q-inf");
-  ASSERT_TRUE(h.ExemplarFor(0).valid());
-  EXPECT_EQ(h.ExemplarFor(0).trace_id, "q-fast");
-  ASSERT_TRUE(h.ExemplarFor(1).valid());
-  EXPECT_EQ(h.ExemplarFor(1).trace_id, "q-mid-worse");
-  EXPECT_DOUBLE_EQ(h.ExemplarFor(1).value, 0.7);
-  ASSERT_TRUE(h.ExemplarFor(2).valid());
-  EXPECT_EQ(h.ExemplarFor(2).trace_id, "q-inf");
+  h.ObserveWithExemplar(0.3, "q-mid");
+  h.ObserveWithExemplar(0.45, "q-mid-worse");
+  h.ObserveWithExemplar(0.35, "q-mid-better");  // not a new worst
+  h.ObserveWithExemplar(100.0, "q-inf");
+  ASSERT_TRUE(h.ExemplarFor(10).valid());
+  EXPECT_EQ(h.ExemplarFor(10).trace_id, "q-fast");
+  ASSERT_TRUE(h.ExemplarFor(13).valid());
+  EXPECT_EQ(h.ExemplarFor(13).trace_id, "q-mid-worse");
+  EXPECT_DOUBLE_EQ(h.ExemplarFor(13).value, 0.45);
+  ASSERT_TRUE(h.ExemplarFor(Histogram::kRenderedBuckets - 1).valid());
+  EXPECT_EQ(h.ExemplarFor(Histogram::kRenderedBuckets - 1).trace_id,
+            "q-inf");
+  EXPECT_FALSE(h.ExemplarFor(0).valid());
   // Empty trace id degrades to a plain Observe: count moves, exemplar
   // unchanged.
-  h.ObserveWithExemplar(0.9, "");
-  EXPECT_EQ(h.ExemplarFor(1).trace_id, "q-mid-worse");
+  h.ObserveWithExemplar(0.5, "");
+  EXPECT_EQ(h.Count(), 6u);
+  EXPECT_EQ(h.ExemplarFor(13).trace_id, "q-mid-worse");
 }
 
 TEST(MetricsTest, ExemplarsRenderAndParseAndLintClean) {
   MetricsRegistry registry;
-  auto* family = registry.AddHistogram("qfix_test_seconds", "test latency",
-                                       {0.1, 1.0});
+  auto* family = registry.AddHistogram("qfix_test_seconds", "test latency");
   Histogram* h = family->WithLabels({});
   h->ObserveWithExemplar(0.05, "q-abc123");
   h->ObserveWithExemplar(0.5, "q-def456");
@@ -552,7 +624,7 @@ TEST(MetricsTest, ExemplarsRenderAndParseAndLintClean) {
   for (const auto& sample : parsed->samples) {
     if (sample.name != "qfix_test_seconds_bucket") continue;
     const std::string* le = sample.FindLabel("le");
-    if (le == nullptr || *le != "0.1") continue;
+    if (le == nullptr || *le != "0.065535") continue;
     found = true;
     ASSERT_TRUE(sample.has_exemplar);
     const std::string* trace_id = sample.FindExemplarLabel("trace_id");

@@ -1668,6 +1668,12 @@ TEST_F(ServerTest, StatsAndMetricsAgreeAtQuiescence) {
   EXPECT_EQ(Post("/v1/diagnose", "not json").status, 400);
   ASSERT_EQ(Get("/v1/debug/traces").status, 200);
   ASSERT_EQ(Get("/metrics").status, 200);
+  // A debug sleep stands in for a diagnosis of its tenant: its one
+  // latency observation must reach both surfaces.
+  ASSERT_EQ(
+      Post("/v1/debug/sleep", "{\"seconds\":0.001,\"tenant\":\"gamma\"}")
+          .status,
+      200);
 
   auto stats = Get("/v1/stats");
   ASSERT_EQ(stats.status, 200);
@@ -1754,7 +1760,8 @@ TEST_F(ServerTest, StatsAndMetricsAgreeAtQuiescence) {
   same("ingest.encoding_cache_bytes", "qfix_encoding_cache_bytes");
   same("ingest.encoding_cache_entries", "qfix_encoding_cache_entries");
   same("ingest.surviving_cache_bytes", "qfix_surviving_cache_bytes");
-  for (const std::string tenant : {"acme", "beta"}) {
+  same("latency.count", "qfix_diagnose_requests_seconds_count");
+  for (const std::string tenant : {"acme", "beta", "gamma"}) {
     const std::string t = "tenants." + tenant + ".";
     same(t + "weight", "qfix_tenant_weight", "tenant", tenant);
     same(t + "share", "qfix_tenant_share", "tenant", tenant);
@@ -1790,8 +1797,81 @@ TEST_F(ServerTest, StatsAndMetricsAgreeAtQuiescence) {
   EXPECT_EQ(json("requests.cached_hits"), 2.0);
   EXPECT_EQ(json("tenants.beta.requests"), 1.0);
   EXPECT_EQ(json("tenants.acme.latency.count"), 3.0);
+  EXPECT_EQ(json("tenants.gamma.latency.count"), 1.0);
+  EXPECT_EQ(json("latency.count"), 3.0);  // diagnoses only, not sleeps
   EXPECT_EQ(json("ingest.appends"), 1.0);
   EXPECT_GE(json("requests.errors_4xx"), 3.0);
+}
+
+TEST_F(ServerTest, CrossTenantBatchCountsOnceGloballyAndOncePerTenant) {
+  StartServer(ServerOptions{});
+  ASSERT_EQ(Post("/v1/datasets", RegisterTaxesAs("acme/taxes")).status, 200);
+  ASSERT_EQ(Post("/v1/datasets", RegisterTaxesAs("beta/taxes")).status, 200);
+  ASSERT_EQ(Post("/v1/diagnose",
+                 DiagnoseTaxesOn({"acme/taxes", "beta/taxes"}))
+                .status,
+            200);
+
+  auto doc = ParseJson(Get("/v1/stats").body);
+  ASSERT_TRUE(doc.ok());
+  EXPECT_EQ(doc->Find("latency")->Find("count")->AsNumber(), 1.0);
+  const JsonValue* tenants = doc->Find("tenants");
+  ASSERT_NE(tenants, nullptr);
+  for (const char* tenant : {"acme", "beta"}) {
+    ASSERT_NE(tenants->Find(tenant), nullptr) << tenant;
+    EXPECT_EQ(
+        tenants->Find(tenant)->Find("latency")->Find("count")->AsNumber(),
+        1.0)
+        << tenant;
+  }
+  const double max_ms = doc->Find("latency")->Find("max_ms")->AsNumber();
+  EXPECT_GT(max_ms, 0.0);
+  EXPECT_LE(doc->Find("latency")->Find("p50_ms")->AsNumber(), max_ms);
+}
+
+TEST_F(ServerTest, DroppedSpansAreReportedNotSilentlyLost) {
+  // With the report cache off, every item of a batch solves (no
+  // in-request dedup), and each records encode/solve plus solver
+  // children: 64 items overflow the trace's span cap. The drop must
+  // show in the timings block and in the retained trace.
+  ServerOptions options;
+  options.cache_bytes = 0;
+  options.trace_sample_probability = 1.0;
+  StartServer(options);
+  ASSERT_EQ(Post("/v1/datasets", RegisterTaxesBody()).status, 200);
+
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("timings");
+  w.Bool(true);
+  w.Key("items");
+  w.BeginArray();
+  for (int i = 0; i < 64; ++i) {
+    w.BeginObject();
+    w.Key("dataset");
+    w.String("taxes");
+    w.Key("complaints_csv");
+    w.String(kTaxComplaintsCsv);
+    w.EndObject();
+  }
+  w.EndArray();
+  w.EndObject();
+  auto response = Post("/v1/diagnose", w.str());
+  ASSERT_EQ(response.status, 200) << response.body;
+  auto doc = ParseJson(response.body);
+  ASSERT_TRUE(doc.ok());
+  const JsonValue* timings = doc->Find("timings");
+  ASSERT_NE(timings, nullptr);
+  EXPECT_EQ(timings->Find("phases")->AsArray().size(), 256u);
+  const double dropped = timings->Find("dropped_spans")->AsNumber();
+  EXPECT_GT(dropped, 0.0);
+
+  auto traces = ParseJson(Get("/v1/debug/traces").body);
+  ASSERT_TRUE(traces.ok());
+  const auto& list = traces->Find("traces")->AsArray();
+  ASSERT_EQ(list.size(), 1u);
+  EXPECT_EQ(list[0].Find("dropped_spans")->AsNumber(), dropped);
+  EXPECT_EQ(list[0].Find("spans")->AsArray().size(), 256u);
 }
 
 }  // namespace

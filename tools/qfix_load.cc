@@ -177,13 +177,13 @@ std::string DiagnoseBody(const std::string& dataset, double pay) {
   return w.str();
 }
 
-void PrintLatency(const char* label, const qfix::harness::LatencyHistogram& h) {
+void PrintLatency(const char* label, const qfix::obs::Histogram& h) {
   std::printf("  %-10s n=%llu p50=%.2fms p90=%.2fms p99=%.2fms "
               "p99.9=%.2fms max=%.2fms\n",
-              label, static_cast<unsigned long long>(h.count()),
-              h.Percentile(0.50) * 1e3, h.Percentile(0.90) * 1e3,
-              h.Percentile(0.99) * 1e3, h.Percentile(0.999) * 1e3,
-              h.max() * 1e3);
+              label, static_cast<unsigned long long>(h.Count()),
+              h.Quantile(0.50) * 1e3, h.Quantile(0.90) * 1e3,
+              h.Quantile(0.99) * 1e3, h.Quantile(0.999) * 1e3,
+              h.Max() * 1e3);
 }
 
 /// One --scrape-metrics snapshot: GET /metrics, lint the payload with
